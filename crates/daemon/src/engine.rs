@@ -56,7 +56,95 @@ pub struct OpenRequest {
     pub want_trace: bool,
 }
 
+/// An [`OpenRequest`] field outside the range the analyzer accepts,
+/// found by [`OpenRequest::validate`] before any session is opened.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidOpenRequest {
+    /// The offending field as a JSON path, e.g. `camera.pixels_per_meter`
+    /// or `dims.lengths[3]`.
+    pub field: String,
+    /// What the field must be, and what it was.
+    pub problem: String,
+}
+
+impl std::fmt::Display for InvalidOpenRequest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid open request: `{}` {}", self.field, self.problem)
+    }
+}
+
+impl std::error::Error for InvalidOpenRequest {}
+
 impl OpenRequest {
+    /// Checks every field against the rules its constructor enforces —
+    /// `Camera::new` plus finite offsets, `Video::new` (fps),
+    /// `BodyDims::for_height` plus a finite positive length and
+    /// thickness per stick, `Pose::from_genes` and the streaming
+    /// warm-up of at least 2 frames. Deserialising
+    /// bypasses those constructors, so both network edges (daemon and
+    /// gateway) call this before admitting a request: a request that
+    /// passes cannot trip their asserts inside the supervisor.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of range, as [`InvalidOpenRequest`].
+    pub fn validate(&self) -> Result<(), InvalidOpenRequest> {
+        fn refuse(field: impl Into<String>, problem: String) -> Result<(), InvalidOpenRequest> {
+            Err(InvalidOpenRequest {
+                field: field.into(),
+                problem,
+            })
+        }
+        fn positive(field: impl Into<String>, value: f64) -> Result<(), InvalidOpenRequest> {
+            if value.is_finite() && value > 0.0 {
+                Ok(())
+            } else {
+                refuse(field, format!("must be finite and positive, got {value}"))
+            }
+        }
+        fn finite(field: impl Into<String>, value: f64) -> Result<(), InvalidOpenRequest> {
+            if value.is_finite() {
+                Ok(())
+            } else {
+                refuse(field, format!("must be finite, got {value}"))
+            }
+        }
+        let camera = &self.camera;
+        for (field, pixels) in [
+            ("camera.width", camera.width),
+            ("camera.height", camera.height),
+        ] {
+            if pixels == 0 {
+                refuse(field, "must be positive, got 0".to_owned())?;
+            }
+        }
+        positive("camera.pixels_per_meter", camera.pixels_per_meter)?;
+        finite("camera.world_left", camera.world_left)?;
+        finite("camera.ground_row", camera.ground_row)?;
+        positive("fps", self.fps)?;
+        positive("dims.height", self.dims.height())?;
+        for stick in slj_motion::model::ALL_STICKS {
+            let i = stick.index();
+            positive(format!("dims.lengths[{i}]"), self.dims.length(stick))?;
+            positive(format!("dims.thicknesses[{i}]"), self.dims.thickness(stick))?;
+        }
+        finite("first_pose.center.x", self.first_pose.center.x)?;
+        finite("first_pose.center.y", self.first_pose.center.y)?;
+        for (i, angle) in self.first_pose.angles.iter().enumerate() {
+            finite(format!("first_pose.angles[{i}]"), angle.degrees())?;
+        }
+        if self.warmup < 2 {
+            refuse(
+                "warmup",
+                format!(
+                    "must be at least 2 frames (background estimation needs two), got {}",
+                    self.warmup
+                ),
+            )?;
+        }
+        Ok(())
+    }
+
     /// The manager-level session config this request describes. Each
     /// session's analyzer runs serial inside its step — concurrency
     /// lives at the manager, like `slj serve`.
@@ -566,21 +654,20 @@ impl Engine {
         }
     }
 
-    /// Parses an open request, replying `Rejected` (and returning
-    /// `None`) when it does not parse.
+    /// Parses and validates an open request, replying `Rejected` (and
+    /// returning `None`) when it does not parse or a field is out of
+    /// range — before the manager is asked for a slot.
     fn parse_open(&mut self, conn: u64, config_json: &str) -> Option<OpenRequest> {
         if self.drain_flag.load(Ordering::SeqCst) {
             self.manager.drain();
         }
-        match serde_json::from_str(config_json) {
+        let parsed = serde_json::from_str::<OpenRequest>(config_json)
+            .map_err(|e| format!("open request does not parse: {e}"))
+            .and_then(|r| r.validate().map(|()| r).map_err(|e| e.to_string()));
+        match parsed {
             Ok(r) => Some(r),
-            Err(e) => {
-                self.must_deliver(
-                    conn,
-                    WireMsg::Rejected {
-                        reason: format!("open request does not parse: {e}"),
-                    },
-                );
+            Err(reason) => {
+                self.must_deliver(conn, WireMsg::Rejected { reason });
                 None
             }
         }

@@ -41,6 +41,6 @@ pub mod wire;
 
 pub use addr::Addr;
 pub use client::{Client, ClientError, ClientOptions, RemoteAnalysis};
-pub use engine::{DaemonConfig, DaemonStats, OpenRequest};
+pub use engine::{DaemonConfig, DaemonStats, InvalidOpenRequest, OpenRequest};
 pub use server::{Daemon, DaemonHandle, Listener, Stream};
 pub use wire::{AckStatus, Decoder, WireError, WireMsg, DEFAULT_MAX_FRAME, WIRE_SCHEMA};

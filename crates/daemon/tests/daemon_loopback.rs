@@ -618,3 +618,87 @@ fn retire_mid_stream_recycles_into_an_identical_fresh_session() {
     assert_eq!(stats.sessions_aborted, 1, "the retired session was aborted");
     assert_eq!(stats.sessions_finished, 1);
 }
+
+/// One open request per field class [`OpenRequest::validate`] guards,
+/// as JSON text with that field replaced by an out-of-range number.
+/// The number is written raw, so `1e999` arrives as infinity, which no
+/// serialised `OpenRequest` can carry. Returns `(field, json)`.
+fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
+    const CASES: [(&str, &str); 11] = [
+        ("camera.width", "0"),
+        ("camera.pixels_per_meter", "0"),
+        ("camera.ground_row", "1e999"),
+        ("fps", "0"),
+        ("fps", "-1e999"),
+        ("dims.height", "-1.3"),
+        ("dims.lengths[3]", "0"),
+        ("dims.thicknesses[0]", "1e999"),
+        ("first_pose.center.x", "1e999"),
+        ("first_pose.angles[2]", "-1e999"),
+        ("warmup", "1"),
+    ];
+    CASES
+        .iter()
+        .map(|&(field, raw)| {
+            let mut value = serde::Serialize::to_value(good);
+            let slot = field
+                .split(['.', '[', ']'])
+                .filter(|key| !key.is_empty())
+                .fold(&mut value, |node, key| match node {
+                    serde::Value::Object(entries) => {
+                        &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
+                    }
+                    serde::Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+                    other => panic!("{field}: no `{key}` in {other:?}"),
+                });
+            *slot = serde::Value::Str("RAW".to_owned());
+            let json = serde_json::to_string(&value).unwrap();
+            (field, json.replace("\"RAW\"", raw))
+        })
+        .collect()
+}
+
+#[test]
+fn out_of_range_open_requests_are_rejected_before_admission() {
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 71);
+    let request = open_request(&jump, &scene, false);
+    let handle = Daemon::start(&[Addr::Tcp("127.0.0.1:0".to_owned())], daemon_config()).unwrap();
+    let mut client = Client::connect(&handle.addrs[0], ClientOptions::default()).unwrap();
+    let ppm = slj_video::io::ppm_stream(&jump.video);
+
+    // Each broken field, as a streamed OPEN and as an OPEN_CLIP, gets a
+    // typed rejection naming it on the same connection.
+    for (field, config_json) in broken_open_requests(&request) {
+        for msg in [
+            WireMsg::Open {
+                config_json: config_json.clone(),
+            },
+            WireMsg::OpenClip {
+                config_json,
+                ppm: ppm.clone(),
+            },
+        ] {
+            let kind = msg.name();
+            client
+                .send_raw(&slj_daemon::wire::encode_to_vec(&msg))
+                .unwrap();
+            match client.recv_raw().unwrap() {
+                WireMsg::Rejected { reason } => assert!(
+                    reason.contains(&format!("`{field}`")),
+                    "{kind} with bad {field}: {reason}"
+                ),
+                other => panic!("{kind} with bad {field} must be Rejected, got {other:?}"),
+            }
+        }
+    }
+
+    handle.drain();
+    let stats = handle.join();
+    // No session ever opened, so none could step, fail or panic under
+    // the supervisor.
+    assert_eq!(stats.sessions_opened, 0);
+    assert_eq!(stats.sessions_failed, 0);
+    assert_eq!(stats.sessions_aborted, 0);
+    assert_eq!(stats.conns_torn_down, 0);
+}

@@ -20,10 +20,11 @@ use crate::fitness::{BatchScratch, Eq3Kernel, SilhouetteFitness};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use slj_imgproc::geometry::Point2;
+use slj_imgproc::distance::DistanceField;
+use slj_imgproc::geometry::{Point2, Segment};
 use slj_imgproc::mask::Mask;
 use slj_imgproc::moments;
-use slj_motion::model::{GENE_COUNT, GENE_GROUPS, STICK_COUNT};
+use slj_motion::model::{StickKind, GENE_COUNT, GENE_GROUPS, STICK_COUNT};
 use slj_motion::{Angle, BodyDims, Pose};
 use slj_video::Camera;
 use std::collections::HashMap;
@@ -128,7 +129,6 @@ impl Default for PoseProblemConfig {
 #[derive(Default)]
 pub struct FitnessMemo {
     map: Mutex<HashMap<[u64; GENE_COUNT], f64, BuildChromoHasher>>,
-    validity: Mutex<HashMap<[u64; GENE_COUNT], bool, BuildChromoHasher>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -136,7 +136,7 @@ pub struct FitnessMemo {
 /// Multiply-xor hasher for chromosome keys (12 `u64` gene-bit words).
 /// The default SipHash is keyed against adversarial collisions, which a
 /// memo over trusted keys does not need; this folds each word in a few
-/// cycles instead. Deterministic, and the maps are only ever probed
+/// cycles instead. Deterministic, and the map is only ever probed
 /// (`get`/`insert`/`len`), so the table order can never leak into
 /// results.
 #[derive(Clone, Copy, Default)]
@@ -180,21 +180,6 @@ impl FitnessMemo {
         self.map.lock().expect("memo poisoned").insert(key, fitness);
     }
 
-    fn get_validity(&self, key: &[u64; GENE_COUNT]) -> Option<bool> {
-        self.validity
-            .lock()
-            .expect("memo poisoned")
-            .get(key)
-            .copied()
-    }
-
-    fn insert_validity(&self, key: [u64; GENE_COUNT], valid: bool) {
-        self.validity
-            .lock()
-            .expect("memo poisoned")
-            .insert(key, valid);
-    }
-
     /// `(hits, misses)` so far — perf diagnostics only.
     pub fn stats(&self) -> (usize, usize) {
         (
@@ -208,13 +193,12 @@ impl FitnessMemo {
         self.map.lock().expect("memo poisoned").len()
     }
 
-    /// Empties both memo tables — keeping their (large) hash-table
+    /// Empties the memo table — keeping its (large) hash-table
     /// storage — and zeroes the hit/miss counters. Called when a memo
     /// is recycled for a different silhouette: stale values can never
     /// leak because every key is gone.
     pub fn clear(&self) {
         self.map.lock().expect("memo poisoned").clear();
-        self.validity.lock().expect("memo poisoned").clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -229,7 +213,6 @@ impl Clone for FitnessMemo {
     fn clone(&self) -> Self {
         FitnessMemo {
             map: Mutex::new(self.map.lock().expect("memo poisoned").clone()),
-            validity: Mutex::new(self.validity.lock().expect("memo poisoned").clone()),
             hits: AtomicUsize::new(self.hits.load(Ordering::Relaxed)),
             misses: AtomicUsize::new(self.misses.load(Ordering::Relaxed)),
         }
@@ -290,8 +273,8 @@ impl Clone for ScratchPool {
     }
 }
 
-/// A problem's recyclable heavy state: the fitness/validity memo maps
-/// (hash tables that grow to thousands of entries over a GA run) and
+/// A problem's recyclable heavy state: the fitness memo map (a hash
+/// table that grows to thousands of entries over a GA run) and
 /// the batched-evaluation scratch pool. Reclaim it from a finished
 /// problem with [`PoseProblem::reclaim`] and thread it into the next
 /// frame's problem with [`PoseProblem::with_fitness_scratch`]; the memo
@@ -303,6 +286,57 @@ pub struct ProblemScratch {
     pool: ScratchPool,
 }
 
+/// The validity test's constants, derived once per problem from the
+/// config and the body dimensions (see `PoseProblem::is_valid`).
+#[derive(Debug, Clone)]
+struct ValidityRule {
+    /// Where along each stick the samples lie, as
+    /// [`Segment::sample_fractions`] of `validity_samples`.
+    fractions: Vec<f64>,
+    /// Per stick, the [`DistanceField::raw_limit`] of its thickness in
+    /// pixels: a sample is inside when its stored chamfer value is
+    /// below this.
+    raw_limits: [u32; STICK_COUNT],
+    /// Inside samples that make a genome valid: the smallest `k` with
+    /// `k / total >= validity_fraction`.
+    needed: usize,
+    /// Outside samples a genome can have and still be valid:
+    /// `total - needed`.
+    spare: usize,
+}
+
+impl ValidityRule {
+    fn new(config: &PoseProblemConfig, dims: &BodyDims, camera: &Camera) -> Result<Self, GaError> {
+        let total = STICK_COUNT
+            .checked_mul(config.validity_samples)
+            .ok_or(GaError::BadConfig {
+                what: "validity_samples is too large",
+            })?;
+        // The same f64 expression the fraction test evaluates; `k / total`
+        // rises with `k`, and `k = total` gives 1.0, which every
+        // `validity_fraction` in [0, 1] admits.
+        let needed = (0..=total)
+            .find(|&k| k as f64 / total as f64 >= config.validity_fraction)
+            .expect("validity_fraction <= 1 is admitted at k = total");
+        let mut raw_limits = [0; STICK_COUNT];
+        for s in slj_motion::model::ALL_STICKS {
+            raw_limits[s.index()] = DistanceField::raw_limit(stick_tolerance_px(dims, camera, s));
+        }
+        Ok(ValidityRule {
+            fractions: Segment::sample_fractions(config.validity_samples).collect(),
+            raw_limits,
+            needed,
+            spare: total - needed,
+        })
+    }
+}
+
+/// How close to the silhouette a stick's axis samples must lie to
+/// count as inside: the stick's own thickness in pixels, at least one.
+fn stick_tolerance_px(dims: &BodyDims, camera: &Camera, stick: StickKind) -> f64 {
+    camera.length_to_pixels(dims.thickness(stick)).max(1.0)
+}
+
 /// The pose-estimation problem for one silhouette.
 #[derive(Debug, Clone)]
 pub struct PoseProblem {
@@ -310,8 +344,7 @@ pub struct PoseProblem {
     /// can rebuild the problem with a different init strategy without
     /// re-deriving the silhouette's point list and distance field.
     fitness: Arc<SilhouetteFitness>,
-    /// Per-stick thickness in pixels, paper order.
-    thickness_px: [f64; STICK_COUNT],
+    validity: ValidityRule,
     dims: BodyDims,
     camera: Camera,
     init: InitStrategy,
@@ -421,14 +454,11 @@ impl PoseProblem {
         let bb = moments::bounding_box(silhouette).ok_or(GaError::EmptySilhouette)?;
         let tl = camera.image_to_world(Point2::new(bb.x_min as f64, bb.y_max as f64));
         let br = camera.image_to_world(Point2::new(bb.x_max as f64, bb.y_min as f64));
-        let mut thickness_px = [0.0; STICK_COUNT];
-        for s in slj_motion::model::ALL_STICKS {
-            thickness_px[s.index()] = camera.length_to_pixels(dims.thickness(s)).max(1.0);
-        }
+        let validity = ValidityRule::new(&config, dims, camera)?;
         scratch.memo.clear();
         Ok(PoseProblem {
             fitness,
-            thickness_px,
+            validity,
             dims: dims.clone(),
             camera: *camera,
             init,
@@ -492,13 +522,11 @@ impl PoseProblem {
     }
 
     /// Fraction of axis samples of `pose`'s sticks that lie inside (or
-    /// within one stick-thickness of) the silhouette.
-    ///
-    /// Uses the evaluator's chamfer distance field: an axis sample
-    /// counts as "inside" when it lies within the stick's own thickness
-    /// of a silhouette pixel — tolerant of the mask erosion and holes a
-    /// real pipeline produces.
-    pub fn inside_fraction(&self, pose: &Pose) -> f64 {
+    /// within one stick-thickness of) the silhouette: the whole count
+    /// in `f64` distances, kept as the oracle `is_valid` is tested
+    /// against.
+    #[cfg(test)]
+    fn inside_fraction(&self, pose: &Pose) -> f64 {
         let segs = pose.segments(&self.dims);
         let n = self.config.validity_samples;
         let df = self.fitness.distance_field();
@@ -506,7 +534,7 @@ impl PoseProblem {
         let mut total = 0usize;
         for (stick, seg) in segs.iter() {
             let s_px = self.camera.segment_to_image(seg);
-            let tol = self.thickness_px[stick.index()];
+            let tol = stick_tolerance_px(&self.dims, &self.camera, stick);
             for p in s_px.sample_iter(n) {
                 total += 1;
                 let (x, y) = (p.x.round(), p.y.round());
@@ -694,20 +722,52 @@ impl Problem for PoseProblem {
         *genome = Pose::from_genes(&genes).expect("mutation keeps genes finite");
     }
 
+    /// The paper removes chromosomes "not in the boundary of the
+    /// silhouette": at least `validity_fraction` of the sticks' axis
+    /// samples must lie within the stick's own thickness of a
+    /// silhouette pixel, which tolerates the mask erosion and holes a
+    /// real pipeline produces.
+    ///
+    /// The samples are `Segment::sample_iter`'s, with their fractions
+    /// computed once per problem. They are read stick by stick from the
+    /// chamfer field, as raw values against per-stick integer limits,
+    /// and the walk stops as soon as the count decides the verdict.
+    /// Equal to the full fraction test (property-tested against
+    /// `inside_fraction`).
     fn is_valid(&self, genome: &Pose) -> bool {
-        if !self.config.fitness_memo {
-            return self.inside_fraction(genome) >= self.config.validity_fraction;
+        let rule = &self.validity;
+        if rule.needed == 0 {
+            return true;
         }
-        // Offspring of a converged population repeat chromosomes
-        // bit-for-bit (typically >70% of validity checks in a tracking
-        // run), so the boolean is memoised alongside the fitness value.
-        let key = FitnessMemo::key(genome);
-        if let Some(cached) = self.memo.get_validity(&key) {
-            return cached;
+        let df = self.fitness.distance_field();
+        let (w, h, raw) = (df.width(), df.height(), df.raw_values());
+        let (mut inside, mut spare) = (0, rule.spare);
+        for (stick, seg) in genome.segments(&self.dims).iter() {
+            let limit = rule.raw_limits[stick.index()];
+            let s_px = self.camera.segment_to_image(seg);
+            for &t in &rule.fractions {
+                let p = s_px.a.lerp(s_px.b, t);
+                let (x, y) = (p.x.round(), p.y.round());
+                if x >= 0.0
+                    && y >= 0.0
+                    && (x as usize) < w
+                    && (y as usize) < h
+                    && raw[y as usize * w + x as usize] < limit
+                {
+                    inside += 1;
+                    if inside == rule.needed {
+                        return true;
+                    }
+                } else if spare == 0 {
+                    return false;
+                } else {
+                    spare -= 1;
+                }
+            }
         }
-        let valid = self.inside_fraction(genome) >= self.config.validity_fraction;
-        self.memo.insert_validity(key, valid);
-        valid
+        // Not reached: by the last sample one of the returns above has
+        // fired, since `needed + spare` is the sample count.
+        inside >= rule.needed
     }
 
     fn seeds(&self) -> Vec<Pose> {
@@ -788,6 +848,109 @@ mod tests {
         far.center.x += 0.8;
         assert!(!p.is_valid(&far));
         assert!(p.inside_fraction(&far) < 0.3);
+    }
+
+    /// Default stick lengths rounded to whole pixels of a 64 px/m
+    /// camera (so axis samples land on exact half-pixel coordinates)
+    /// and every half-thickness replaced. Built by deserialisation:
+    /// `BodyDims` has no constructor that takes thicknesses.
+    fn grid_dims(thickness: f64) -> BodyDims {
+        let base = BodyDims::default();
+        let lengths = slj_motion::model::ALL_STICKS
+            .map(|s| serde::Value::F64((base.length(s) * 64.0).round() / 64.0));
+        let value = serde::Value::Object(vec![
+            ("height".into(), serde::Value::F64(base.height())),
+            ("lengths".into(), serde::Value::Array(lengths.to_vec())),
+            (
+                "thicknesses".into(),
+                serde::Value::Array(vec![serde::Value::F64(thickness); STICK_COUNT]),
+            ),
+        ]);
+        serde::Deserialize::from_value(&value).expect("dims deserialise")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The early-exit test returns the full fraction test's verdict
+        /// for poses reaching off every edge of the frame, with samples
+        /// on exact half-pixel coordinates (where `round` breaks ties)
+        /// or off the grid, any sample count, the extreme fractions, and
+        /// thicknesses from zero and NaN up to infinity.
+        #[test]
+        fn early_exit_validity_matches_fraction_test(
+            body_x in 0.0f64..2.5,
+            cell_x in (0u8..3, -3i32..3, -40i32..200),
+            cell_y in (0u8..3, -3i32..3, -40i32..160),
+            jitter in (-0.5f64..0.5, -0.5f64..0.5, proptest::prelude::any::<bool>()),
+            angles in proptest::collection::vec(
+                (0u32..4, 0.0f64..360.0, proptest::prelude::any::<bool>()),
+                STICK_COUNT,
+            ),
+            samples in 1usize..=8,
+            fraction in (0u8..4, 0.0f64..1.0),
+            thickness in 0usize..8,
+        ) {
+            let camera = Camera::new(160, 120, 64.0, 0.0, 110.0);
+            let mut standing = Pose::standing(&BodyDims::default());
+            standing.center.x = body_x;
+            let sil = render_silhouette(&standing, &BodyDims::default(), &camera);
+            let thickness = [0.0, f64::NAN, 1e-9, 0.02, 0.05, 0.3, 1e300, f64::INFINITY][thickness];
+            let dims = grid_dims(thickness);
+            let validity_fraction = match fraction.0 {
+                0 => 0.0,
+                1 => 1.0,
+                _ => fraction.1,
+            };
+            let config = PoseProblemConfig {
+                validity_fraction,
+                validity_samples: samples,
+                ..PoseProblemConfig::default()
+            };
+            let p = PoseProblem::new(&sil, &dims, &camera, InitStrategy::FullRange, config)
+                .unwrap();
+            // The pose's centre cell, often within a few pixels of an
+            // edge, where rounding decides whether a sample is in frame.
+            let near_edge = |(pick, offset, anywhere): (u8, i32, i32), size: i32| match pick {
+                0 => offset,
+                1 => size + offset,
+                _ => anywhere,
+            };
+            let cell = (near_edge(cell_x, 160), near_edge(cell_y, 120));
+            // Image (cell + ½) in world metres; exact on a 64 px/m camera.
+            let (mut px, mut py) = (cell.0 as f64 + 0.5, cell.1 as f64 + 0.5);
+            if jitter.2 {
+                px += jitter.0;
+                py += jitter.1;
+            }
+            let center = Point2::new(px / 64.0, (110.0 - py) / 64.0);
+            let mut pose = Pose::new(center, [Angle::UP; STICK_COUNT]);
+            for (a, &(quarter, free, on_grid)) in pose.angles.iter_mut().zip(&angles) {
+                *a = Angle::from_degrees(if on_grid { 90.0 * quarter as f64 } else { free });
+            }
+            let fraction = p.inside_fraction(&pose);
+            proptest::prop_assert_eq!(p.is_valid(&pose), fraction >= validity_fraction);
+            // At the pose's own fraction and the next one up, a single
+            // sample counted differently flips the verdict.
+            let total = (STICK_COUNT * samples) as f64;
+            let inside = (fraction * total).round();
+            for k in [inside, inside + 1.0].into_iter().filter(|&k| k <= total) {
+                let at_k = PoseProblemConfig {
+                    validity_fraction: k / total,
+                    ..config
+                };
+                let q = PoseProblem::with_fitness(
+                    &sil,
+                    p.shared_fitness(),
+                    &dims,
+                    &camera,
+                    InitStrategy::FullRange,
+                    at_k,
+                )
+                .unwrap();
+                proptest::prop_assert_eq!(q.is_valid(&pose), fraction >= k / total);
+            }
+        }
     }
 
     #[test]

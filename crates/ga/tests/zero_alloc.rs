@@ -1,13 +1,16 @@
 //! Allocation regression test: steady-state batched fitness
-//! evaluation must not touch the heap.
+//! evaluation and the validity test must not touch the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up batch (growing the pooled [`EvalScratch`] buffers to their
 //! high-water mark), a second batch through the same
 //! `PoseProblem::fitness_batch` path is asserted to perform **zero**
 //! allocations — through pose projection, the lane Eq. 3 kernel, and
-//! the outside-penalty term. A separate test covers the memoised
-//! all-hit path.
+//! the outside-penalty term. Separate tests cover the memoised all-hit
+//! path and `PoseProblem::is_valid`.
+//!
+//! The counter is per thread, so tests running side by side cannot
+//! pollute each other's counts.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,17 +21,21 @@ use slj_motion::{BodyDims, Pose};
 use slj_video::render::render_silhouette;
 use slj_video::Camera;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
-/// The allocation counter is process-global, so concurrently running
-/// tests would pollute each other's deltas; take this before measuring.
-static MEASURE: Mutex<()> = Mutex::new(());
-
-/// System allocator plus a global allocation counter.
+/// System allocator plus a per-thread allocation counter.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and free of `Drop`: no lazy set-up and no
+    // destructor, so counting never allocates and never re-enters the
+    // allocator.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -36,17 +43,17 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 // SAFETY: defers to the system allocator; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -55,8 +62,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` and returns the allocations it made on this thread. That
+/// is all of them when `f` runs on this thread alone, which a zero
+/// count itself proves: starting a thread allocates on the starting
+/// thread (`starting_a_thread_allocates_on_the_caller`), and no
+/// measured path hands work to a thread that already exists.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn starting_a_thread_allocates_on_the_caller() {
+    let ((), delta) = allocations_during(|| std::thread::scope(|s| s.spawn(|| {}).join().unwrap()));
+    assert!(delta > 0, "a thread start went uncounted");
 }
 
 /// A pose problem over a rendered standing silhouette plus a batch of
@@ -92,10 +112,7 @@ fn batched_evaluation_is_allocation_free() {
     problem.fitness_batch(&genomes, &mut out);
     let expected = out.clone();
 
-    let _guard = MEASURE.lock().unwrap();
-    let before = allocations();
-    problem.fitness_batch(&genomes, &mut out);
-    let delta = allocations() - before;
+    let ((), delta) = allocations_during(|| problem.fitness_batch(&genomes, &mut out));
     assert_eq!(delta, 0, "steady-state batch performed {delta} allocations");
     assert_eq!(
         out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -117,13 +134,26 @@ fn memoised_batch_is_allocation_free_on_full_hit() {
     problem.fitness_batch(&genomes, &mut out);
     let expected = out.clone();
 
-    let _guard = MEASURE.lock().unwrap();
-    let before = allocations();
-    problem.fitness_batch(&genomes, &mut out);
-    let delta = allocations() - before;
+    let ((), delta) = allocations_during(|| problem.fitness_batch(&genomes, &mut out));
     assert_eq!(delta, 0, "memoised batch performed {delta} allocations");
     assert_eq!(
         out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
     );
+}
+
+#[test]
+fn validity_test_is_allocation_free() {
+    let (problem, _) = fixture(PoseProblemConfig::default());
+    let mut rng = StdRng::seed_from_u64(53);
+    let genomes: Vec<Pose> = (0..256).map(|_| problem.random_genome(&mut rng)).collect();
+    let verdicts: Vec<bool> = genomes.iter().map(|g| problem.is_valid(g)).collect();
+    // Full-range genomes over a standing silhouette: both verdicts occur.
+    assert!(verdicts.contains(&true) && verdicts.contains(&false));
+
+    let mut repeat = Vec::with_capacity(genomes.len());
+    let ((), delta) =
+        allocations_during(|| repeat.extend(genomes.iter().map(|g| problem.is_valid(g))));
+    assert_eq!(delta, 0, "256 validity tests performed {delta} allocations");
+    assert_eq!(repeat, verdicts);
 }

@@ -327,9 +327,9 @@ fn handle_metrics(shared: &Arc<Shared>, stream: &mut Stream) -> io::Result<()> {
 }
 
 /// The ingestion path. Refusal order is deliberate: everything the
-/// gateway can decide locally (shape, JSON, drain, job cap) is decided
-/// *before* a wire connection is dialed, so bad requests never cost the
-/// daemon anything.
+/// gateway can decide locally (shape, JSON and its field ranges, drain,
+/// job cap) is decided *before* a wire connection is dialed, so bad
+/// requests never cost the daemon anything.
 fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -> io::Result<()> {
     // Body shape: one open-request JSON line, then raw PPM bytes.
     let Some(newline) = request.body.iter().position(|&b| b == b'\n') else {
@@ -352,6 +352,10 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
             return respond_text(stream, 400, &format!("open request does not parse: {e}\n"));
         }
     };
+    if let Err(e) = open.validate() {
+        shared.inc("gateway_jobs_malformed");
+        return respond_text(stream, 400, &format!("{e}\n"));
+    }
     if ppm.is_empty() {
         shared.inc("gateway_jobs_malformed");
         return respond_text(stream, 400, "no clip bytes after the open-request line\n");

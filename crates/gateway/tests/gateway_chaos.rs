@@ -442,6 +442,80 @@ fn gateway_job_table_cap_sheds_locally_without_dialing_the_daemon() {
     assert_eq!(stats.connections, 0, "local shed never dialed the daemon");
 }
 
+/// One open request per field class [`OpenRequest::validate`] guards,
+/// as JSON text with that field replaced by an out-of-range number.
+/// The number is written raw, so `1e999` arrives as infinity, which no
+/// serialised `OpenRequest` can carry. Returns `(field, json)`.
+fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
+    const CASES: [(&str, &str); 11] = [
+        ("camera.width", "0"),
+        ("camera.pixels_per_meter", "0"),
+        ("camera.ground_row", "1e999"),
+        ("fps", "0"),
+        ("fps", "-1e999"),
+        ("dims.height", "-1.3"),
+        ("dims.lengths[3]", "0"),
+        ("dims.thicknesses[0]", "1e999"),
+        ("first_pose.center.x", "1e999"),
+        ("first_pose.angles[2]", "-1e999"),
+        ("warmup", "1"),
+    ];
+    CASES
+        .iter()
+        .map(|&(field, raw)| {
+            let mut value = serde::Serialize::to_value(good);
+            let slot = field
+                .split(['.', '[', ']'])
+                .filter(|key| !key.is_empty())
+                .fold(&mut value, |node, key| match node {
+                    serde::Value::Object(entries) => {
+                        &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
+                    }
+                    serde::Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+                    other => panic!("{field}: no `{key}` in {other:?}"),
+                });
+            *slot = serde::Value::Str("RAW".to_owned());
+            let json = serde_json::to_string(&value).unwrap();
+            (field, json.replace("\"RAW\"", raw))
+        })
+        .collect()
+}
+
+#[test]
+fn out_of_range_open_requests_get_400_without_dialing_the_daemon() {
+    let (handle, gateway, hostport) = start_pair("badopen", GatewayConfig::default());
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 83);
+    let request = open_request(&jump, &scene, false);
+    let ppm = slj_video::io::ppm_stream(&jump.video);
+    let cases = broken_open_requests(&request);
+    for (field, json) in &cases {
+        let mut body = json.clone().into_bytes();
+        body.push(b'\n');
+        body.extend_from_slice(&ppm);
+        let response = post(&hostport, "/v1/jobs", &body);
+        let text = String::from_utf8_lossy(&response.body);
+        assert_eq!(response.status, 400, "bad {field}: {text}");
+        assert!(text.contains(&format!("`{field}`")), "bad {field}: {text}");
+    }
+    let metrics = get(&hostport, "/metrics");
+    let metrics = String::from_utf8_lossy(&metrics.body);
+    assert!(
+        metrics.contains(&format!("gateway_jobs_malformed = {}", cases.len())),
+        "{metrics}"
+    );
+
+    gateway.shutdown();
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!(
+        stats.connections, 0,
+        "refused requests never dialed the daemon"
+    );
+    assert_eq!(stats.sessions_opened, 0);
+    assert_eq!(stats.sessions_failed, 0);
+}
+
 #[test]
 fn slowloris_readers_are_reaped_typed_while_neighbours_finish() {
     let scene = scene();

@@ -1,12 +1,14 @@
 //! Chamfer distance transform.
 //!
-//! Evaluating the paper's Eq. 3 fitness needs, for every silhouette pixel,
-//! the distance to the nearest stick. Computed directly this is
-//! `O(pixels × sticks)` per chromosome. The GA crate also offers an
-//! accelerated variant that rasterises the candidate stick model once and
-//! reads distances from a precomputed transform; this module provides that
-//! transform. The 3-4 chamfer metric approximates Euclidean distance to
-//! within ~8%, which benchmarks show is ample for ranking chromosomes.
+//! A [`DistanceField`] maps every pixel to its approximate distance from
+//! the nearest foreground pixel of a mask. The GA builds one per
+//! silhouette and reads it in two places: the pose problem's validity
+//! test (do a candidate's stick axes lie within a stick thickness of the
+//! silhouette?) and the fitness's coverage penalty (how far outside the
+//! silhouette do its sticks run?). Eq. 3 itself measures pixel-to-stick
+//! distances directly and does not use it. The 3-4 chamfer metric
+//! approximates Euclidean distance to within ~8% and is computed in two
+//! raster passes over the image.
 
 use crate::mask::Mask;
 
@@ -72,45 +74,22 @@ impl DistanceField {
             };
         }
 
-        // Forward pass: top-left to bottom-right.
-        for y in 0..h {
-            for x in 0..w {
-                let i = y * w + x;
-                let mut best = d[i];
-                if x > 0 {
-                    best = best.min(d[i - 1] + 3);
-                }
-                if y > 0 {
-                    best = best.min(d[i - w] + 3);
-                    if x > 0 {
-                        best = best.min(d[i - w - 1] + 4);
-                    }
-                    if x + 1 < w {
-                        best = best.min(d[i - w + 1] + 4);
-                    }
-                }
-                d[i] = best;
-            }
+        // Forward pass: top-left to bottom-right. Each row first takes
+        // the finished row above, then carries left to right.
+        carry_right(&mut d[..w]);
+        for y in 1..h {
+            let (done, rest) = d.split_at_mut(y * w);
+            let row = &mut rest[..w];
+            fold_neighbour_row(row, &done[(y - 1) * w..]);
+            carry_right(row);
         }
-        // Backward pass: bottom-right to top-left.
-        for y in (0..h).rev() {
-            for x in (0..w).rev() {
-                let i = y * w + x;
-                let mut best = d[i];
-                if x + 1 < w {
-                    best = best.min(d[i + 1] + 3);
-                }
-                if y + 1 < h {
-                    best = best.min(d[i + w] + 3);
-                    if x + 1 < w {
-                        best = best.min(d[i + w + 1] + 4);
-                    }
-                    if x > 0 {
-                        best = best.min(d[i + w - 1] + 4);
-                    }
-                }
-                d[i] = best;
-            }
+        // Backward pass: bottom-right to top-left, mirrored.
+        carry_left(&mut d[(h - 1) * w..]);
+        for y in (0..h - 1).rev() {
+            let (rest, done) = d.split_at_mut((y + 1) * w);
+            let row = &mut rest[y * w..];
+            fold_neighbour_row(row, &done[..w]);
+            carry_left(row);
         }
 
         DistanceField {
@@ -177,11 +156,137 @@ impl DistanceField {
             Some(m as f64 / CHAMFER_SCALE as f64)
         }
     }
+
+    /// The stored values, row-major with [`DistanceField::width`]
+    /// values per row. Compare one against a
+    /// [`DistanceField::raw_limit`] to test a distance bound without
+    /// converting it to `f64`.
+    pub fn raw_values(&self) -> &[u32] {
+        &self.data
+    }
+
+    /// The exclusive bound on stored values that lie within
+    /// `max_distance`: `self.distance(x, y) <= max_distance` holds
+    /// exactly when the raw value at `(x, y)` is below it. `0` for a
+    /// negative or NaN distance, which nothing lies within.
+    pub fn raw_limit(max_distance: f64) -> u32 {
+        if max_distance == f64::INFINITY {
+            // Even the blank-mask sentinel reports `INFINITY <= INFINITY`.
+            return INF + 1;
+        }
+        if max_distance.is_nan() || max_distance < 0.0 {
+            return 0;
+        }
+        let within = |raw: u32| raw as f64 / CHAMFER_SCALE as f64 <= max_distance;
+        // Estimate, then settle the boundary under the same f64 division
+        // `distance` performs; finite distances are stored below `INF`.
+        let estimate = (max_distance * CHAMFER_SCALE as f64).floor();
+        let mut limit = estimate.min((INF - 1) as f64) as u32 + 1;
+        while limit < INF && within(limit) {
+            limit += 1;
+        }
+        while limit > 0 && !within(limit - 1) {
+            limit -= 1;
+        }
+        limit
+    }
+}
+
+/// Folds the finished neighbouring row `near` (the row above on the
+/// forward pass, below on the backward one) into `row`: 3 per straight
+/// step, 4 per diagonal. Every pixel reads only `near`, so the loop
+/// carries no dependency along the row.
+fn fold_neighbour_row(row: &mut [u32], near: &[u32]) {
+    let w = row.len();
+    let near = &near[..w];
+    row[0] = row[0].min(near[0] + 3);
+    if w == 1 {
+        return;
+    }
+    row[0] = row[0].min(near[1] + 4);
+    row[w - 1] = row[w - 1].min(near[w - 1] + 3).min(near[w - 2] + 4);
+    let diagonals = near[..w - 2].iter().zip(&near[2..]);
+    for ((v, &straight), (&before, &after)) in
+        row[1..w - 1].iter_mut().zip(&near[1..w - 1]).zip(diagonals)
+    {
+        *v = (*v).min(straight + 3).min(before.min(after) + 4);
+    }
+}
+
+/// The forward pass's in-row step: each pixel takes its left
+/// neighbour's final value plus 3.
+fn carry_right(row: &mut [u32]) {
+    let mut carry = row[0];
+    for v in &mut row[1..] {
+        carry = (*v).min(carry + 3);
+        *v = carry;
+    }
+}
+
+/// The backward pass's in-row step: each pixel takes its right
+/// neighbour's final value plus 3.
+fn carry_left(row: &mut [u32]) {
+    let last = row.len() - 1;
+    let mut carry = row[last];
+    for v in row[..last].iter_mut().rev() {
+        carry = (*v).min(carry + 3);
+        *v = carry;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two 3-4 raster passes written per pixel with bounds tests,
+    /// as `build_into` computed them before the row-slice form: the
+    /// oracle `build_into` is property-tested against.
+    fn reference_transform(mask: &Mask) -> Vec<u32> {
+        let (w, h) = mask.dims();
+        let mut d = vec![INF; w * h];
+        for (x, y) in mask.foreground_pixels() {
+            d[y * w + x] = 0;
+        }
+        for y in 0..h {
+            for x in 0..w {
+                let i = y * w + x;
+                let mut best = d[i];
+                if x > 0 {
+                    best = best.min(d[i - 1] + 3);
+                }
+                if y > 0 {
+                    best = best.min(d[i - w] + 3);
+                    if x > 0 {
+                        best = best.min(d[i - w - 1] + 4);
+                    }
+                    if x + 1 < w {
+                        best = best.min(d[i - w + 1] + 4);
+                    }
+                }
+                d[i] = best;
+            }
+        }
+        for y in (0..h).rev() {
+            for x in (0..w).rev() {
+                let i = y * w + x;
+                let mut best = d[i];
+                if x + 1 < w {
+                    best = best.min(d[i + 1] + 3);
+                }
+                if y + 1 < h {
+                    best = best.min(d[i + w] + 3);
+                    if x + 1 < w {
+                        best = best.min(d[i + w + 1] + 4);
+                    }
+                    if x > 0 {
+                        best = best.min(d[i + w - 1] + 4);
+                    }
+                }
+                d[i] = best;
+            }
+        }
+        d
+    }
 
     #[test]
     fn zero_on_foreground() {
@@ -330,6 +435,59 @@ mod tests {
                 reused.recycle(&mut scratch);
             }
         }
+    }
+
+    proptest::proptest! {
+        /// The row-slice passes store exactly the per-pixel oracle's
+        /// values, on single rows, single columns and rectangles, from
+        /// blank through sparse to full masks.
+        #[test]
+        fn row_slice_passes_match_per_pixel_oracle(
+            shape in (0u8..3, 1usize..64, 1usize..64),
+            density in 0u32..=100,
+            draws in proptest::collection::vec(0u32..100, 64 * 64),
+        ) {
+            let (w, h) = match shape {
+                (0, n, _) => (1, n),
+                (1, n, _) => (n, 1),
+                (_, a, b) => (a % 40 + 1, b % 40 + 1),
+            };
+            let mut m = Mask::new(w, h);
+            for (k, &draw) in draws.iter().enumerate().take(w * h) {
+                if draw < density {
+                    m.set(k % w, k / w, true);
+                }
+            }
+            proptest::prop_assert_eq!(DistanceField::new(&m).data, reference_transform(&m));
+        }
+
+        /// `raw_limit` agrees with `distance` on every stored value near
+        /// the bound, for bounds on and off the 1/3-pixel grid.
+        #[test]
+        fn raw_limit_matches_distance_comparison(
+            thirds in 0u32..2000,
+            offset in -1.0f64..1.0,
+        ) {
+            let bound = thirds as f64 / 3.0 + offset * 1e-9;
+            let limit = DistanceField::raw_limit(bound);
+            for raw in thirds.saturating_sub(3)..thirds + 3 {
+                let field = DistanceField { width: 1, height: 1, data: vec![raw] };
+                proptest::prop_assert_eq!(field.distance(0, 0) <= bound, raw < limit);
+            }
+        }
+    }
+
+    #[test]
+    fn raw_limit_edge_cases() {
+        for bound in [-1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert_eq!(DistanceField::raw_limit(bound), 0);
+        }
+        assert_eq!(DistanceField::raw_limit(0.0), 1);
+        assert_eq!(DistanceField::raw_limit(1.0), 4);
+        // Finite bounds never admit the blank-mask sentinel; an infinite
+        // one admits it, as `INFINITY <= INFINITY` does.
+        assert_eq!(DistanceField::raw_limit(f64::MAX), INF);
+        assert_eq!(DistanceField::raw_limit(f64::INFINITY), INF + 1);
     }
 
     #[test]

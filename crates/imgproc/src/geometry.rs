@@ -289,14 +289,25 @@ impl Segment {
     ///
     /// Panics when `n == 0`.
     pub fn sample_iter(&self, n: usize) -> impl Iterator<Item = Point2> {
-        assert!(n > 0, "sample count must be positive");
         let (a, b) = (self.a, self.b);
-        let mid = self.midpoint();
+        Segment::sample_fractions(n).map(move |t| a.lerp(b, t))
+    }
+
+    /// The parameters of the `n` points [`Segment::sample_iter`]
+    /// yields, each at `a.lerp(b, t)`: evenly from 0 to 1, or the
+    /// midpoint's 0.5 when `n == 1`. They depend on `n` alone, so a
+    /// caller sampling many segments can compute them once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n == 0`.
+    pub fn sample_fractions(n: usize) -> impl Iterator<Item = f64> {
+        assert!(n > 0, "sample count must be positive");
         (0..n).map(move |i| {
             if n == 1 {
-                mid
+                0.5
             } else {
-                a.lerp(b, i as f64 / (n - 1) as f64)
+                i as f64 / (n - 1) as f64
             }
         })
     }

@@ -7,6 +7,9 @@
 //! the same frames is asserted to perform **zero** allocations per
 //! frame — for both hole-fill kernels and with ghost suppression and
 //! shadow removal enabled.
+//!
+//! The counter is per thread, so tests running side by side cannot
+//! pollute each other's counts.
 
 use slj_motion::JumpConfig;
 use slj_segment::background::{
@@ -16,13 +19,22 @@ use slj_segment::pipeline::{FrameStages, PipelineConfig};
 use slj_segment::segmenter::{FrameSegmenter, PreparedBackground};
 use slj_video::{SceneConfig, SyntheticJump};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// System allocator plus a global allocation counter.
+/// System allocator plus a per-thread allocation counter.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and free of `Drop`: no lazy set-up and no
+    // destructor, so counting never allocates and never re-enters the
+    // allocator.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
@@ -30,17 +42,17 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 // SAFETY: defers to the system allocator; the counter is a side effect.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -49,8 +61,21 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 }
 
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` and returns the allocations it made on this thread. That
+/// is all of them when `f` runs on this thread alone, which a zero
+/// count itself proves: starting a thread allocates on the starting
+/// thread (`starting_a_thread_allocates_on_the_caller`), and no
+/// measured path hands work to a thread that already exists.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn starting_a_thread_allocates_on_the_caller() {
+    let ((), delta) = allocations_during(|| std::thread::scope(|s| s.spawn(|| {}).join().unwrap()));
+    assert!(delta > 0, "a thread start went uncounted");
 }
 
 fn assert_steady_state_is_allocation_free(config: PipelineConfig, label: &str) {
@@ -83,11 +108,9 @@ fn assert_steady_state_is_allocation_free(config: PipelineConfig, label: &str) {
     // allocate at all.
     for (k, frame) in frames.iter().enumerate() {
         let previous = k.checked_sub(1).map(|p| &frames[p]);
-        let before = allocations();
-        segmenter
-            .segment_into(frame, previous, &mut stages)
-            .unwrap();
-        let delta = allocations() - before;
+        let (result, delta) =
+            allocations_during(|| segmenter.segment_into(frame, previous, &mut stages));
+        result.unwrap();
         assert_eq!(delta, 0, "{label}: frame {k} performed {delta} allocations");
     }
 }
@@ -119,11 +142,9 @@ fn background_estimation_reuse_is_allocation_free() {
         estimator
             .estimate_into(&jump.video, &mut out, &mut scratch)
             .unwrap();
-        let before = allocations();
-        estimator
-            .estimate_into(&jump.video, &mut out, &mut scratch)
-            .unwrap();
-        let delta = allocations() - before;
+        let (result, delta) =
+            allocations_during(|| estimator.estimate_into(&jump.video, &mut out, &mut scratch));
+        result.unwrap();
         assert_eq!(
             delta, 0,
             "{mode:?}: estimation performed {delta} allocations"
