@@ -545,3 +545,41 @@ fn gateway_serves_a_clip_over_http_byte_identical_to_analyze() {
     assert_eq!(stats.sessions_finished, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_daemon_process_always_answers_its_wire_drain() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+
+    // `slj daemon` exits as soon as `join` returns; the drain's reply
+    // must already be on the wire by then. Repeat start → DRAIN to give
+    // a lost reply every chance to show.
+    for cycle in 0..100 {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_slj"))
+            .args(["daemon", "--listen", "tcp:127.0.0.1:0"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).unwrap();
+        // "listening on tcp:127.0.0.1:PORT (slj-wire/1)"
+        let addr = banner
+            .split_whitespace()
+            .nth(2)
+            .and_then(|raw| slj_daemon::Addr::parse(raw).ok())
+            .unwrap_or_else(|| panic!("cycle {cycle}: unexpected banner {banner:?}"));
+        let drained = slj_daemon::client::drain_daemon(&addr);
+        let status = child.wait().unwrap();
+        let mut rest = String::new();
+        stdout.read_to_string(&mut rest).unwrap();
+        assert_eq!(
+            drained.ok(),
+            Some(0),
+            "cycle {cycle}: DRAIN got no DRAINING reply"
+        );
+        assert!(status.success(), "cycle {cycle}: {status}");
+        assert!(rest.starts_with("daemon drained:"), "cycle {cycle}: {rest}");
+    }
+}

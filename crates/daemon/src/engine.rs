@@ -12,12 +12,16 @@
 //! queue overflows, while best-effort EVENT messages are simply
 //! dropped and counted. One slow, stuck or malicious connection
 //! therefore costs every other session nothing.
+//!
+//! Nor does the engine sleep with work queued: after a tick that
+//! progressed any session it takes only the requests already queued
+//! and ticks again at once. Only a tick that moved nothing waits for
+//! the next request, up to the `tick_wait_ms` heartbeat.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -29,6 +33,7 @@ use slj_serve::{
 };
 use slj_video::{Camera, Frame};
 
+use crate::server::Drain;
 use crate::wire::{codes, AckStatus, WireError, WireMsg, DEFAULT_MAX_FRAME, WIRE_SCHEMA};
 
 /// Everything a client must supply to open a session — the same
@@ -197,8 +202,11 @@ pub struct DaemonConfig {
     /// (0 disables reaping). The idle window is therefore
     /// `idle_timeouts * read_timeout_ms`.
     pub idle_timeouts: u32,
-    /// How long the engine waits for requests before ticking anyway,
-    /// ms — the service heartbeat while producers are quiet.
+    /// The idle heartbeat, ms: after a tick that progressed no session,
+    /// the engine waits this long for a request before ticking anyway.
+    /// A tick that progressed any session is followed by the next at
+    /// once, so only quiet sessions, parked replies and empty queues
+    /// wait for it — stall windows keep their wall-clock length.
     pub tick_wait_ms: u64,
     /// Most requests handled per engine pass before a tick is forced.
     /// Without this bound a pack of clients re-offering into a full
@@ -333,9 +341,10 @@ pub(crate) struct Engine {
     config: DaemonConfig,
     manager: SessionManager,
     requests: Receiver<Request>,
-    /// Shared with the acceptors and [`DaemonHandle`]: once set, stop
+    /// Shared with the acceptors and
+    /// [`DaemonHandle`](crate::DaemonHandle): once requested, stop
     /// accepting connections and drain.
-    drain_flag: Arc<AtomicBool>,
+    drain: Drain,
     conns: Vec<ConnState>,
     sessions: Vec<SessionMeta>,
     stats: DaemonStats,
@@ -343,17 +352,13 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    pub(crate) fn new(
-        config: DaemonConfig,
-        requests: Receiver<Request>,
-        drain_flag: Arc<AtomicBool>,
-    ) -> Self {
+    pub(crate) fn new(config: DaemonConfig, requests: Receiver<Request>, drain: Drain) -> Self {
         let manager = SessionManager::new(config.serve);
         Engine {
             config,
             manager,
             requests,
-            drain_flag,
+            drain,
             conns: Vec::new(),
             sessions: Vec::new(),
             stats: DaemonStats::default(),
@@ -583,7 +588,15 @@ impl Engine {
             }
             WireMsg::Drain => {
                 self.manager.drain();
-                self.drain_flag.store(true, Ordering::SeqCst);
+                if self.drain.request() {
+                    // Releasing the acceptors dials them, which blocks
+                    // while a backlog is full: never on this thread. If
+                    // the spawn fails, the next connection releases them.
+                    let drain = self.drain.clone();
+                    let _ = thread::Builder::new()
+                        .name("slj-daemon-release".to_owned())
+                        .spawn(move || drain.release_acceptors());
+                }
                 self.must_deliver(
                     conn,
                     WireMsg::Draining {
@@ -658,7 +671,7 @@ impl Engine {
     /// returning `None`) when it does not parse or a field is out of
     /// range — before the manager is asked for a slot.
     fn parse_open(&mut self, conn: u64, config_json: &str) -> Option<OpenRequest> {
-        if self.drain_flag.load(Ordering::SeqCst) {
+        if self.drain.is_requested() {
             self.manager.drain();
         }
         let parsed = serde_json::from_str::<OpenRequest>(config_json)
@@ -956,49 +969,65 @@ impl Engine {
         }
     }
 
+    /// Handles up to `1 + intake_budget` queued requests, waiting up to
+    /// the heartbeat for the first when `wait` is set. Past the budget
+    /// the rest stay queued — intake must never starve the
+    /// queue-draining ticks (see `intake_budget`).
+    fn intake(&mut self, wait: bool) {
+        let first = if wait {
+            let heartbeat = Duration::from_millis(self.config.tick_wait_ms);
+            match self.requests.recv_timeout(heartbeat) {
+                Ok(request) => Some(request),
+                Err(RecvTimeoutError::Timeout) => None,
+                // All acceptors and readers are gone; drain what's left
+                // and exit. (A non-waiting pass leaves this to the next
+                // waiting one.)
+                Err(RecvTimeoutError::Disconnected) => {
+                    self.drain.request();
+                    None
+                }
+            }
+        } else {
+            self.requests.try_recv().ok()
+        };
+        let Some(first) = first else {
+            return;
+        };
+        self.handle_request(first);
+        for _ in 0..self.config.intake_budget {
+            match self.requests.try_recv() {
+                Ok(request) => self.handle_request(request),
+                Err(_) => break,
+            }
+        }
+    }
+
     /// The engine thread's body. Returns when a drain completes: every
     /// in-flight session terminal and retired, every connection
     /// flushed and closed.
     pub(crate) fn run(mut self) -> DaemonStats {
+        // Sessions the last tick progressed. While any did, more work
+        // may be queued (a clip session always has its next frame
+        // queued by `feed_clips`), so the engine ticks again at once;
+        // only a tick that moved nothing waits for a request or the
+        // heartbeat, so the loop never spins.
+        let mut progressed = 0;
         loop {
-            // 1. Intake: wait briefly for the first request, then
-            //    drain whatever else is queued without waiting.
-            match self
-                .requests
-                .recv_timeout(Duration::from_millis(self.config.tick_wait_ms))
-            {
-                Ok(request) => {
-                    self.handle_request(request);
-                    // Bounded drain: past the budget, leave the rest
-                    // queued and go tick — intake must never starve
-                    // the queue-draining ticks (see `intake_budget`).
-                    let mut budget = self.config.intake_budget;
-                    while budget > 0 {
-                        match self.requests.try_recv() {
-                            Ok(request) => self.handle_request(request),
-                            Err(_) => break,
-                        }
-                        budget -= 1;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // All acceptors and readers are gone; drain what's
-                    // left and exit.
-                    self.drain_flag.store(true, Ordering::SeqCst);
-                }
-            }
-            if self.drain_flag.load(Ordering::SeqCst) {
+            // 1. Intake.
+            self.intake(progressed == 0);
+            if self.drain.is_requested() {
                 self.manager.drain();
             }
             // 2. Feed engine-owned clip sessions (OPEN_CLIP) as far as
             //    backpressure allows.
             self.feed_clips();
             // 3. One supervision tick (skipped when nothing is open).
-            if self.manager.sessions_in_service() > 0 {
-                self.manager.tick();
+            progressed = if self.manager.sessions_in_service() > 0 {
                 self.stats.ticks += 1;
-            }
+                self.manager.tick()
+            } else {
+                0
+            };
             // 4. Route events, deliver terminals, retire.
             self.route_events();
             // 5. Outbound progress and connection reaping.

@@ -1,17 +1,21 @@
 //! Listener/acceptor/reader/writer threads around the
 //! [`Engine`](crate::engine): everything that touches a socket.
 //!
-//! One acceptor thread per listener polls a nonblocking accept loop so
-//! it can notice the drain flag promptly; each accepted connection gets
-//! a reader thread (socket → decoder → bounded request channel) and a
-//! writer thread (bounded reply channel → encoder → socket). Readers
-//! *block* on the request channel when the engine is saturated — that
-//! is the design: the unread bytes stay in the kernel socket buffer and
-//! the peer's sends stall, which is exactly the backpressure the wire
-//! protocol promises instead of unbounded buffering.
+//! One acceptor thread per listener blocks in `accept` ([`serve_until`])
+//! and re-checks the drain flag after every connection; a drain
+//! releases it by dialing the listener once ([`wake_acceptor`]). Each
+//! accepted connection gets a reader thread (socket → decoder → bounded
+//! request channel) and a writer thread (bounded reply channel →
+//! encoder → socket). Readers *block* on the request channel when the
+//! engine is saturated — that is the design: the unread bytes stay in
+//! the kernel socket buffer and the peer's sends stall, which is exactly
+//! the backpressure the wire protocol promises instead of unbounded
+//! buffering. Writers are joined before [`DaemonHandle::join`] returns,
+//! so a drained daemon has written every connection's last reply.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,8 +28,10 @@ use crate::addr::Addr;
 use crate::engine::{DaemonConfig, DaemonStats, Engine, Out, Request};
 use crate::wire::Decoder;
 
-/// How long acceptors sleep between nonblocking accept polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
+/// How long an acceptor backs off after a failed `accept` (`EMFILE`
+/// and friends persist until some connection closes; retrying at once
+/// would spin).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// One live transport stream: the TCP/UDS split stops here. Public so
 /// other front ends (the HTTP gateway) can serve the same dual
@@ -166,24 +172,11 @@ impl Listener {
         }
     }
 
-    /// Switches the accept loop between blocking and polling modes.
+    /// Accepts one connection, blocking until one arrives.
     ///
     /// # Errors
     ///
-    /// The underlying socket's setter failure.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            Listener::Tcp(l) => l.set_nonblocking(nonblocking),
-            Listener::Unix(l, _) => l.set_nonblocking(nonblocking),
-        }
-    }
-
-    /// Accepts one connection.
-    ///
-    /// # Errors
-    ///
-    /// `WouldBlock` in nonblocking mode with nobody waiting, or any
-    /// accept failure.
+    /// Any accept failure.
     pub fn accept(&self) -> io::Result<Stream> {
         match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
@@ -200,6 +193,109 @@ impl Listener {
     }
 }
 
+/// Blocks in `accept` and hands each connection to `serve`, until `stop`
+/// is set or `serve` breaks. The flag is re-checked after every accept:
+/// whoever sets it dials the listener once ([`wake_acceptor`]) to release
+/// the blocked call, and that connection — like any that arrives after
+/// the flag is set — is dropped unanswered. On the way out a Unix
+/// listener's socket file is removed.
+pub fn serve_until(
+    listener: Listener,
+    stop: &AtomicBool,
+    mut serve: impl FnMut(Stream) -> ControlFlow<()>,
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok(stream) => {
+                if serve(stream).is_break() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+    if let Some(path) = listener.unix_path() {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+/// Releases an acceptor blocked in [`serve_until`] on the bound address
+/// `addr` by dialing it once and hanging up; set the stop flag first. A
+/// wildcard TCP bind (`0.0.0.0`, `[::]`) is dialed on loopback. Failures
+/// are ignored: a listener that is already gone needs no release.
+///
+/// The connect can block while the listener's backlog is full, so call
+/// this from a thread that may wait — never from one others wait on.
+pub fn wake_acceptor(addr: &Addr) {
+    match addr {
+        Addr::Tcp(hostport) => {
+            let Ok(mut target) = hostport.parse::<SocketAddr>() else {
+                return;
+            };
+            if target.ip().is_unspecified() {
+                target.set_ip(match target.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            let _ = TcpStream::connect(target);
+        }
+        Addr::Unix(path) => {
+            let _ = UnixStream::connect(path);
+        }
+    }
+}
+
+/// Joins the threads in `handles` that have already exited and drops
+/// their handles, so a long-lived owner tracks only live threads. An
+/// exited thread nobody joins keeps its stack mapped.
+pub fn reap_finished<T>(handles: &mut Vec<JoinHandle<T>>) {
+    for finished in handles.extract_if(.., |h| h.is_finished()) {
+        let _ = finished.join();
+    }
+}
+
+/// The drain request shared by the engine, the acceptors and the
+/// handle: a flag, plus the bound addresses whose blocked acceptors the
+/// request must release.
+#[derive(Clone)]
+pub(crate) struct Drain {
+    flag: Arc<AtomicBool>,
+    addrs: Arc<[Addr]>,
+}
+
+impl Drain {
+    fn new(addrs: &[Addr]) -> Self {
+        Drain {
+            flag: Arc::new(AtomicBool::new(false)),
+            addrs: addrs.into(),
+        }
+    }
+
+    /// Whether a drain has been requested.
+    pub(crate) fn is_requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Sets the flag. Returns `true` only on the call that set it, which
+    /// must then [`release_acceptors`](Drain::release_acceptors).
+    pub(crate) fn request(&self) -> bool {
+        !self.flag.swap(true, Ordering::SeqCst)
+    }
+
+    /// Dials every listener once so its acceptor sees the flag.
+    pub(crate) fn release_acceptors(&self) {
+        for addr in self.addrs.iter() {
+            wake_acceptor(addr);
+        }
+    }
+}
+
 /// The daemon entry point: bind listeners, start the engine, accept.
 pub struct Daemon;
 
@@ -209,35 +305,49 @@ pub struct DaemonHandle {
     /// The addresses actually bound — with OS-assigned ports resolved,
     /// so `tcp:127.0.0.1:0` comes back as the real endpoint to dial.
     pub addrs: Vec<Addr>,
-    drain_flag: Arc<AtomicBool>,
+    drain: Drain,
     engine: JoinHandle<DaemonStats>,
-    acceptors: Vec<JoinHandle<()>>,
-    unix_paths: Vec<PathBuf>,
+    /// Each acceptor returns the writer threads it still tracks.
+    acceptors: Vec<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl DaemonHandle {
     /// Begins a graceful drain: listeners stop accepting, in-flight
-    /// sessions finish, then the engine exits. Idempotent.
+    /// sessions finish, then the engine exits. Idempotent. The first
+    /// request dials each listener once from the calling thread to
+    /// release its acceptor, which can block while a listener's
+    /// accept backlog is full.
     pub fn drain(&self) {
-        self.drain_flag.store(true, Ordering::SeqCst);
+        if self.drain.request() {
+            self.drain.release_acceptors();
+        }
     }
 
     /// Whether a drain has been requested (by this handle or a wire
     /// `DRAIN`).
     pub fn is_draining(&self) -> bool {
-        self.drain_flag.load(Ordering::SeqCst)
+        self.drain.is_requested()
     }
 
     /// Waits for the drain to complete and returns the engine's
     /// lifetime counters. Call [`drain`](DaemonHandle::drain) first or
     /// this blocks until a client sends `DRAIN`.
+    ///
+    /// Returns only once every connection's writer has exited, so the
+    /// last replies the engine queued (`DRAINING`, `BYE`) have been
+    /// written or abandoned at the write deadline.
     pub fn join(self) -> DaemonStats {
+        let mut writers = Vec::new();
         for acceptor in self.acceptors {
-            let _ = acceptor.join();
+            if let Ok(mut tracked) = acceptor.join() {
+                writers.append(&mut tracked);
+            }
         }
         let stats = self.engine.join().unwrap_or_default();
-        for path in &self.unix_paths {
-            let _ = std::fs::remove_file(path);
+        // The engine has hung up every reply channel, so each writer
+        // exits once its queue is written.
+        for writer in writers {
+            let _ = writer.join();
         }
         stats
     }
@@ -259,30 +369,28 @@ impl Daemon {
         }
         let mut listeners = Vec::new();
         let mut bound = Vec::new();
-        let mut unix_paths = Vec::new();
         for addr in addrs {
             let (listener, local) = Listener::bind(addr)?;
-            if let Some(path) = listener.unix_path() {
-                unix_paths.push(path.to_path_buf());
-            }
             bound.push(local);
             listeners.push(listener);
         }
 
-        let drain_flag = Arc::new(AtomicBool::new(false));
+        let drain = Drain::new(&bound);
         let (request_tx, request_rx) = sync_channel::<Request>(config.request_depth);
-        let reply_depth = config.reply_depth;
-        let read_timeout = Duration::from_millis(config.read_timeout_ms);
-        let write_timeout = Duration::from_millis(config.write_timeout_ms);
-        let idle_timeouts = config.idle_timeouts;
-        let max_frame = config.max_frame;
+        let conn_config = ConnConfig {
+            reply_depth: config.reply_depth,
+            read_timeout: Duration::from_millis(config.read_timeout_ms),
+            write_timeout: Duration::from_millis(config.write_timeout_ms),
+            idle_timeouts: config.idle_timeouts,
+            max_frame: config.max_frame,
+        };
 
         let engine = {
             let requests = request_rx;
-            let flag = Arc::clone(&drain_flag);
+            let drain = drain.clone();
             thread::Builder::new()
                 .name("slj-daemon-engine".to_owned())
-                .spawn(move || Engine::new(config, requests, flag).run())
+                .spawn(move || Engine::new(config, requests, drain).run())
                 .expect("spawn engine thread")
         };
 
@@ -290,23 +398,11 @@ impl Daemon {
         let mut acceptors = Vec::new();
         for listener in listeners {
             let requests = request_tx.clone();
-            let flag = Arc::clone(&drain_flag);
+            let drain = drain.clone();
             let conn_ids = Arc::clone(&conn_ids);
             let handle = thread::Builder::new()
                 .name("slj-daemon-accept".to_owned())
-                .spawn(move || {
-                    accept_loop(
-                        listener,
-                        requests,
-                        flag,
-                        conn_ids,
-                        reply_depth,
-                        read_timeout,
-                        write_timeout,
-                        idle_timeouts,
-                        max_frame,
-                    )
-                })
+                .spawn(move || accept_loop(listener, &requests, &drain, &conn_ids, conn_config))
                 .expect("spawn acceptor thread");
             acceptors.push(handle);
         }
@@ -316,81 +412,64 @@ impl Daemon {
 
         Ok(DaemonHandle {
             addrs: bound,
-            drain_flag,
+            drain,
             engine,
             acceptors,
-            unix_paths,
         })
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: Listener,
-    requests: SyncSender<Request>,
-    drain_flag: Arc<AtomicBool>,
-    conn_ids: Arc<AtomicU64>,
+/// Per-connection socket settings, copied from [`DaemonConfig`].
+#[derive(Clone, Copy)]
+struct ConnConfig {
     reply_depth: usize,
     read_timeout: Duration,
     write_timeout: Duration,
     idle_timeouts: u32,
     max_frame: usize,
-) {
-    listener
-        .set_nonblocking(true)
-        .expect("nonblocking listener");
-    loop {
-        if drain_flag.load(Ordering::SeqCst) {
-            if let Some(path) = listener.unix_path() {
-                let _ = std::fs::remove_file(path);
-            }
-            return;
+}
+
+/// Accepts until the drain flag is set or the engine is gone, and
+/// returns the writer threads still running for the handle to join.
+fn accept_loop(
+    listener: Listener,
+    requests: &SyncSender<Request>,
+    drain: &Drain,
+    conn_ids: &AtomicU64,
+    config: ConnConfig,
+) -> Vec<JoinHandle<()>> {
+    let mut writers = Vec::new();
+    serve_until(listener, &drain.flag, |stream| {
+        let conn = conn_ids.fetch_add(1, Ordering::SeqCst);
+        reap_finished(&mut writers);
+        match spawn_connection(conn, stream, requests, config) {
+            Ok(Some(writer)) => writers.push(writer),
+            Ok(None) => {}
+            // The engine is gone; nothing left to accept for.
+            Err(()) => return ControlFlow::Break(()),
         }
-        match listener.accept() {
-            Ok(stream) => {
-                let conn = conn_ids.fetch_add(1, Ordering::SeqCst);
-                if spawn_connection(
-                    conn,
-                    stream,
-                    &requests,
-                    reply_depth,
-                    read_timeout,
-                    write_timeout,
-                    idle_timeouts,
-                    max_frame,
-                )
-                .is_err()
-                {
-                    // The engine is gone; nothing left to accept for.
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
+        ControlFlow::Continue(())
+    });
+    writers
 }
 
 /// Registers the connection with the engine and starts its reader and
-/// writer threads. Returns `Err` only when the engine has hung up.
-#[allow(clippy::too_many_arguments)]
+/// writer threads, returning the writer's handle (`None` when the
+/// connection died before it could be split). Returns `Err` only when
+/// the engine has hung up.
 fn spawn_connection(
     conn: u64,
     stream: Stream,
     requests: &SyncSender<Request>,
-    reply_depth: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    idle_timeouts: u32,
-    max_frame: usize,
-) -> Result<(), ()> {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(write_timeout));
+    config: ConnConfig,
+) -> Result<Option<JoinHandle<()>>, ()> {
+    let _ = stream.set_read_timeout(Some(config.read_timeout));
+    let _ = stream.set_write_timeout(Some(config.write_timeout));
     let write_half = match stream.try_clone() {
         Ok(s) => s,
-        Err(_) => return Ok(()), // connection stillborn; accept the next
+        Err(_) => return Ok(None), // connection stillborn; accept the next
     };
-    let (reply_tx, reply_rx) = sync_channel::<Out>(reply_depth);
+    let (reply_tx, reply_rx) = sync_channel::<Out>(config.reply_depth);
     requests
         .send(Request::Connect {
             conn,
@@ -400,13 +479,21 @@ fn spawn_connection(
     let reader_requests = requests.clone();
     thread::Builder::new()
         .name(format!("slj-daemon-read-{conn}"))
-        .spawn(move || reader_loop(conn, stream, &reader_requests, idle_timeouts, max_frame))
+        .spawn(move || {
+            reader_loop(
+                conn,
+                stream,
+                &reader_requests,
+                config.idle_timeouts,
+                config.max_frame,
+            )
+        })
         .expect("spawn reader thread");
-    thread::Builder::new()
+    let writer = thread::Builder::new()
         .name(format!("slj-daemon-write-{conn}"))
         .spawn(move || writer_loop(write_half, &reply_rx))
         .expect("spawn writer thread");
-    Ok(())
+    Ok(Some(writer))
 }
 
 /// Socket → decoder → request channel. A send into the bounded channel
@@ -484,4 +571,75 @@ fn writer_loop(mut stream: Stream, replies: &Receiver<Out>) {
     }
     let _ = stream.flush();
     stream.shutdown();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+    use std::time::Instant;
+
+    /// Spins until `handle`'s thread has exited; a thread that signalled
+    /// still has to return.
+    fn wait_finished<T>(handle: &JoinHandle<T>) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(Instant::now() < deadline, "thread never exited");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn reaping_joins_exited_threads_and_keeps_live_ones() {
+        let (release, blocked) = channel::<()>();
+        let mut handles = vec![
+            thread::spawn(|| 1),
+            thread::spawn(move || {
+                let _ = blocked.recv();
+                2
+            }),
+            thread::spawn(|| 3),
+        ];
+        wait_finished(&handles[0]);
+        wait_finished(&handles[2]);
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "only the blocked thread stays tracked");
+        assert!(!handles[0].is_finished());
+
+        release.send(()).unwrap();
+        wait_finished(&handles[0]);
+        reap_finished(&mut handles);
+        assert!(handles.is_empty());
+        reap_finished(&mut handles);
+    }
+
+    #[test]
+    fn a_woken_acceptor_stops_and_drops_the_waking_connection() {
+        for bind in ["tcp:127.0.0.1:0", "tcp:0.0.0.0:0"] {
+            let (listener, addr) = Listener::bind(&Addr::parse(bind).unwrap()).unwrap();
+            let stop = Arc::new(AtomicBool::new(false));
+            let (served_tx, served) = channel::<()>();
+            let acceptor = {
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    serve_until(listener, &stop, |_| {
+                        served_tx.send(()).unwrap();
+                        ControlFlow::Continue(())
+                    })
+                })
+            };
+            // A connection before the stop is served...
+            let Addr::Tcp(hostport) = &addr else {
+                unreachable!("bound on TCP")
+            };
+            drop(TcpStream::connect(hostport.replace("0.0.0.0", "127.0.0.1")).unwrap());
+            served.recv().unwrap();
+            // ...the wake after it is not, and releases the acceptor (a
+            // wildcard bind is dialed on loopback).
+            stop.store(true, Ordering::SeqCst);
+            wake_acceptor(&addr);
+            acceptor.join().unwrap();
+            assert!(served.try_recv().is_err(), "{bind}: the wake was served");
+        }
+    }
 }

@@ -702,3 +702,137 @@ fn out_of_range_open_requests_are_rejected_before_admission() {
     assert_eq!(stats.sessions_aborted, 0);
     assert_eq!(stats.conns_torn_down, 0);
 }
+
+#[test]
+fn work_never_waits_for_the_heartbeat() {
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 71);
+    let request = open_request(&jump, &scene, true);
+    let (ref_summary, ref_trace) = reference(&jump, &request);
+
+    // A minute-long heartbeat: any pass that waited for it with work
+    // queued would stall the test by a minute. A clip session always
+    // has its next frame queued, and a lockstep FRAME wakes the engine
+    // itself, so neither job ever needs the heartbeat.
+    let mut config = daemon_config();
+    config.tick_wait_ms = 60_000;
+    let started = std::time::Instant::now();
+    let handle = Daemon::start(&[Addr::Tcp("127.0.0.1:0".to_owned())], config).unwrap();
+    let addr = handle.addrs[0].clone();
+
+    let clip = {
+        let addr = addr.clone();
+        let request = request.clone();
+        let ppm = slj_video::io::ppm_stream(&jump.video);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr, ClientOptions::default()).unwrap();
+            client.analyze_clip_ppm(&request, ppm).unwrap()
+        })
+    };
+    let mut lockstep = Client::connect(&addr, ClientOptions::default()).unwrap();
+    let frames: Vec<_> = jump.video.iter().cloned().collect();
+    let streamed = lockstep.analyze_clip(&request, &frames).unwrap();
+    let clipped = clip.join().unwrap();
+    for (what, analysis) in [("lockstep", &streamed), ("clip", &clipped)] {
+        assert_eq!(analysis.summary_json, ref_summary, "{what} summary drifted");
+        assert_eq!(analysis.trace_jsonl, ref_trace, "{what} trace drifted");
+    }
+
+    // Once the clients hang up and the acceptor is released, the
+    // request channel disconnects and the engine drains at once.
+    drop(lockstep);
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!(stats.sessions_finished, 2);
+    assert!(
+        started.elapsed() < Duration::from_secs(60),
+        "a pass waited for the 60 s heartbeat with work queued"
+    );
+}
+
+#[test]
+fn an_idle_session_ticks_at_the_heartbeat_not_faster() {
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 73);
+    let request = open_request(&jump, &scene, false);
+
+    let config = daemon_config();
+    let heartbeat_ms = config.tick_wait_ms;
+    let started = std::time::Instant::now();
+    let handle = Daemon::start(&[Addr::Tcp("127.0.0.1:0".to_owned())], config).unwrap();
+    let mut client = Client::connect(&handle.addrs[0], ClientOptions::default()).unwrap();
+    client.open(&request).unwrap();
+    // One open session whose producer sends nothing.
+    std::thread::sleep(Duration::from_millis(500));
+    drop(client);
+    handle.drain();
+    let stats = handle.join();
+    let elapsed_ms = started.elapsed().as_millis() as u64;
+
+    // A tick that progressed nothing is followed by a wait of at least
+    // one heartbeat unless a request arrives, and this client sends
+    // four (connect, HELLO, OPEN, hang-up). A spinning engine would
+    // tick hundreds of thousands of times here.
+    assert!(stats.ticks >= 1, "the quiet session was ticked");
+    assert!(
+        stats.ticks <= elapsed_ms / heartbeat_ms + 8,
+        "{} ticks in {elapsed_ms} ms at a {heartbeat_ms} ms heartbeat",
+        stats.ticks
+    );
+    assert_eq!(stats.sessions_aborted, 1, "the hang-up aborted the session");
+}
+
+#[test]
+fn a_wire_drain_reply_is_written_before_join_returns() {
+    use std::os::unix::net::UnixStream;
+
+    // An operator sends DRAIN but reads nothing until the daemon has
+    // fully stopped. The unparseable opens ahead of it queue a backlog
+    // of REJECTED replies (fewer than the reply channel holds), so the
+    // writer can still be busy when the engine exits; the cycles give a
+    // join that does not wait for it every chance to show.
+    let rejected = 48;
+    let mut burst = slj_daemon::wire::encode_to_vec(&WireMsg::Hello {
+        proto: WIRE_SCHEMA.to_owned(),
+    });
+    for _ in 0..rejected {
+        burst.extend(slj_daemon::wire::encode_to_vec(&WireMsg::Open {
+            config_json: "{}".to_owned(),
+        }));
+    }
+    burst.extend(slj_daemon::wire::encode_to_vec(&WireMsg::Drain));
+    let mut expected = vec!["HELLO_OK"];
+    expected.extend(std::iter::repeat_n("REJECTED", rejected));
+    expected.extend(["DRAINING", "BYE"]);
+
+    let socket = uds_path("drain-reply");
+    for cycle in 0..500 {
+        let handle = Daemon::start(&[Addr::Unix(socket.clone())], daemon_config()).unwrap();
+        let mut raw = UnixStream::connect(&socket).unwrap();
+        raw.write_all(&burst).unwrap();
+        handle.join();
+
+        // Every reply is already in the socket, followed by the close:
+        // a nonblocking read never has to wait.
+        raw.set_nonblocking(true).unwrap();
+        let mut decoder = Decoder::new(DEFAULT_MAX_FRAME);
+        let mut replies = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            match raw.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => {
+                    decoder.push(&buf[..n]);
+                    while let Some(msg) = decoder.next_msg().unwrap() {
+                        replies.push(msg);
+                    }
+                }
+                Err(e) => panic!("cycle {cycle}: read after join() returned {e}"),
+            }
+        }
+        let names: Vec<&str> = replies.iter().map(WireMsg::name).collect();
+        assert_eq!(names, expected, "cycle {cycle}");
+        assert_eq!(replies[rejected + 1], WireMsg::Draining { in_flight: 0 });
+        assert!(!socket.exists(), "drain removed the socket file");
+    }
+}

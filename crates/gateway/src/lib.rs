@@ -27,19 +27,18 @@
 pub mod http;
 
 use std::collections::BTreeMap;
-use std::io::{self, ErrorKind};
+use std::io;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use slj_daemon::server::{reap_finished, serve_until, wake_acceptor};
 use slj_daemon::{Addr, Client, ClientError, ClientOptions, Listener, OpenRequest, Stream};
 use slj_obs::MetricsRegistry;
 
 use http::{read_request, write_response, HttpError, Limits, Request};
-
-/// How long the acceptor sleeps between nonblocking accept polls.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// Gateway knobs. The defaults are sized for the daemon's own default
 /// wire-frame cap: a body that passes the gateway always fits the one
@@ -106,6 +105,8 @@ struct Shared {
     next_job: AtomicU64,
     conns: AtomicUsize,
     metrics: Mutex<MetricsRegistry>,
+    /// Job workers not yet seen to exit; finished ones are reaped at
+    /// each admission, so at most about `max_jobs` are tracked.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -150,6 +151,7 @@ impl GatewayHandle {
     /// read+write deadline to finish.
     pub fn shutdown(self) -> MetricsRegistry {
         self.shared.stop.store(true, Ordering::SeqCst);
+        wake_acceptor(&self.addr);
         let _ = self.acceptor.join();
         let workers = std::mem::take(&mut *self.shared.workers.lock().unwrap());
         for worker in workers {
@@ -175,7 +177,6 @@ impl Gateway {
     /// Any bind failure.
     pub fn start(listen: &Addr, daemon: Addr, config: GatewayConfig) -> io::Result<GatewayHandle> {
         let (listener, addr) = Listener::bind(listen)?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             daemon,
             config,
@@ -204,40 +205,29 @@ impl Gateway {
 }
 
 fn accept_loop(shared: &Arc<Shared>, listener: Listener) {
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            if let Some(path) = listener.unix_path() {
-                let _ = std::fs::remove_file(path);
-            }
-            return;
+    serve_until(listener, &shared.stop, |stream| {
+        let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
+        let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+        if shared.conns.fetch_add(1, Ordering::SeqCst) >= shared.config.max_conns {
+            // Over the connection cap: answer 503 inline (the
+            // acceptor can afford one bounded write) and close.
+            shared.inc("gateway_conns_shed");
+            let mut stream = stream;
+            let _ = respond_text(&mut stream, 503, "gateway connection limit reached\n");
+            shared.conns.fetch_sub(1, Ordering::SeqCst);
+            return ControlFlow::Continue(());
         }
-        match listener.accept() {
-            Ok(stream) => {
-                let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                if shared.conns.fetch_add(1, Ordering::SeqCst) >= shared.config.max_conns {
-                    // Over the connection cap: answer 503 inline (the
-                    // acceptor can afford one bounded write) and close.
-                    shared.inc("gateway_conns_shed");
-                    let mut stream = stream;
-                    let _ = respond_text(&mut stream, 503, "gateway connection limit reached\n");
-                    shared.conns.fetch_sub(1, Ordering::SeqCst);
-                    continue;
-                }
-                shared.inc("gateway_conns");
-                let shared = Arc::clone(shared);
-                thread::Builder::new()
-                    .name("slj-gateway-conn".to_owned())
-                    .spawn(move || {
-                        handle_connection(&shared, stream);
-                        shared.conns.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .expect("spawn gateway connection thread");
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => thread::sleep(ACCEPT_POLL),
-        }
-    }
+        shared.inc("gateway_conns");
+        let shared = Arc::clone(shared);
+        thread::Builder::new()
+            .name("slj-gateway-conn".to_owned())
+            .spawn(move || {
+                handle_connection(&shared, stream);
+                shared.conns.fetch_sub(1, Ordering::SeqCst);
+            })
+            .expect("spawn gateway connection thread");
+        ControlFlow::Continue(())
+    });
 }
 
 fn respond_text(stream: &mut Stream, status: u16, body: &str) -> io::Result<()> {
@@ -433,7 +423,11 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
             .spawn(move || job_worker(&shared, id, client, session))
             .expect("spawn gateway job worker")
     };
-    shared.workers.lock().unwrap().push(worker);
+    {
+        let mut workers = shared.workers.lock().unwrap();
+        reap_finished(&mut workers);
+        workers.push(worker);
+    }
     respond_json(
         stream,
         202,
@@ -556,6 +550,9 @@ fn handle_drain(shared: &Arc<Shared>, stream: &mut Stream) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slj::prelude::*;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     #[test]
     fn job_paths_parse() {
@@ -565,5 +562,80 @@ mod tests {
         assert_eq!(parse_job_path("/v1/jobs/x"), None);
         assert_eq!(parse_job_path("/v1/jobs/7/other"), None);
         assert_eq!(parse_job_path("/v2/jobs/7"), None);
+    }
+
+    /// One HTTP exchange on a fresh connection; returns the status.
+    fn exchange(hostport: &str, request: &[u8]) -> u16 {
+        let mut sock = TcpStream::connect(hostport).unwrap();
+        sock.write_all(request).unwrap();
+        let mut raw = Vec::new();
+        sock.read_to_end(&mut raw).unwrap();
+        let head = String::from_utf8_lossy(&raw);
+        head.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    fn finished_job_workers_are_reaped_not_accumulated() {
+        // A short clip keeps each of the hundred jobs cheap.
+        let scene = SceneConfig {
+            camera: Camera::compact(),
+            ..SceneConfig::clean()
+        };
+        let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 97);
+        let frames = 4;
+        let ppm = slj_video::io::ppm_stream(&jump.video);
+        let ppm = &ppm[..frames * ppm.len() / jump.video.len()];
+        let open = OpenRequest {
+            camera: scene.camera,
+            dims: BodyDims::default(),
+            first_pose: jump.poses.poses()[0],
+            fps: jump.video.fps(),
+            warmup: 2,
+            fast: true,
+            max_degraded: Some(frames),
+            want_trace: false,
+        };
+        let mut body = serde_json::to_string(&open).unwrap().into_bytes();
+        body.push(b'\n');
+        body.extend_from_slice(ppm);
+        let mut request = format!(
+            "POST /v1/jobs HTTP/1.1\r\nHost: gw\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(&body);
+
+        let daemon = slj_daemon::Daemon::start(
+            &[Addr::Tcp("127.0.0.1:0".to_owned())],
+            slj_daemon::DaemonConfig::default(),
+        )
+        .unwrap();
+        let config = GatewayConfig::default();
+        let max_jobs = config.max_jobs;
+        let gateway = Gateway::start(
+            &Addr::Tcp("127.0.0.1:0".to_owned()),
+            daemon.addrs[0].clone(),
+            config,
+        )
+        .unwrap();
+        let Addr::Tcp(hostport) = gateway.addr.clone() else {
+            unreachable!("bound on TCP")
+        };
+        let jobs = 100;
+        for _ in 0..jobs {
+            assert_eq!(exchange(&hostport, &request), 202);
+            while gateway.jobs_running() > 0 {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let tracked = gateway.shared.workers.lock().unwrap().len();
+        assert!(
+            tracked <= max_jobs,
+            "{tracked} job workers tracked after {jobs} sequential jobs"
+        );
+        let metrics = gateway.shutdown();
+        daemon.drain();
+        daemon.join();
+        assert_eq!(metrics.counter("gateway_jobs_done"), jobs as u64);
     }
 }
