@@ -86,7 +86,7 @@ fn main() {
         &rows,
     );
     println!(
-        "\nReading: the GA dominates on the paper's own criterion (Eq.3\n\
+        "\nReading: the GA dominates on the paper's own measure (Eq.3\n\
          fitness, roughly 2x better at every budget) and wins clearly at the\n\
          small per-frame budgets the paper actually uses. Neither method\n\
          converts extra budget into better *pose* accuracy: past ~1k\n\

@@ -1,8 +1,8 @@
 //! Perf — the reproducible pipeline benchmark behind
 //! `BENCH_pipeline.json`.
 //!
-//! Three measurement modes (select with
-//! `--mode pipeline|segmentation|tracking|all`, default `all`):
+//! Two measurement modes (select with
+//! `--mode pipeline|segmentation|all`, default `all`):
 //!
 //! **pipeline** times the three expensive layers on the standard
 //! 20-frame synthetic clip (320×240, default scene, seed 5):
@@ -16,23 +16,13 @@
 //! * **analyze** — the full `JumpAnalyzer::analyze` (background +
 //!   segmentation + tracking + scoring).
 //!
-//! Each layer is measured under six configurations spanning the three
-//! optimisation axes this workspace exposes:
-//!
-//! * `baseline-serial` — one thread, Eq. 3 branch-and-bound pruning
-//!   *off*, fitness memo *off*: the reference an optimised run is
-//!   compared against;
-//! * `serial-pruned` — pruning on, memo off;
-//! * `serial-optimised` — pruning + memo, still one thread, scalar
-//!   Eq. 3 kernel (the pre-lanes live reference kept for continuity
-//!   with schema 2);
-//! * `parallel-optimised` — pruning + memo + N worker threads
-//!   (`--threads`, default 4, clamped to the host's
-//!   `available_parallelism`), scalar kernel;
-//! * `lanes-serial` — pruning + memo + the lane-parallel SoA Eq. 3
-//!   kernel with batched population evaluation, one thread;
-//! * `lanes-parallel` — the lane kernel plus worker threads: the
-//!   headline configuration the speedups are quoted against.
+//! Each layer is measured under two configurations: `serial` (one
+//! thread) and `parallel` (`--threads` workers, default 4, clamped to
+//! the host's `available_parallelism`). Before any clock starts, the
+//! section asserts that tracking yields bit-identical poses and fitness
+//! values at Serial, Fixed(4) and Auto parallelism, and that both
+//! configurations produce the identical analysis; `"identical": true`
+//! records that.
 //!
 //! **segmentation** isolates the per-frame stage kernels (the six
 //! Section-2 stages, *excluding* the background estimation every engine
@@ -51,34 +41,19 @@
 //!   frames arrive one at a time and only the previous frame is
 //!   retained.
 //!
-//! **tracking** races the Eq. 3 tracking kernels head to head on
-//! pre-segmented silhouettes, with pruning + memo on everywhere:
-//!
-//! * `scalar-reference` — the live scalar genome-at-a-time path;
-//! * `lanes-serial` — the SoA lane kernel with batched population
-//!   evaluation, one thread;
-//! * `lanes-parallel` — the lane kernel under worker threads.
-//!
-//! It also times the full serial `JumpAnalyzer::analyze` with the lane
-//! kernel (`analyze_ms`) — the end-to-end per-clip figure.
-//!
-//! Every configuration is asserted to produce the identical output
-//! (pipeline mode: same pose bits, same score; segmentation mode: same
-//! stage masks for all seven planes; tracking mode: bit-identical poses
-//! and fitness values across kernels and across Serial / Fixed(4) /
-//! Auto parallelism) before any number is reported — the speedups are
-//! exact optimisations, not approximations. Configurations whose
+//! Every engine is asserted to produce the same stage masks for all
+//! seven planes before any number is reported. Configurations whose
 //! thread request exceeded the host's cores carry `"clamped": true` in
 //! the JSON and a warning in the console summary: their parallel
 //! timings understate what a wider machine would show. The JSON schema
-//! (`slj-perf-pipeline/3`) is documented in DESIGN.md §Performance.
+//! (`slj-perf-pipeline/4`) is documented in DESIGN.md §Performance.
 //!
 //! Usage:
 //!
 //! ```sh
 //! cargo run --release -p slj-bench --bin perf_pipeline            # full
 //! cargo run --release -p slj-bench --bin perf_pipeline -- --quick # CI smoke
-//! cargo run --release -p slj-bench --bin perf_pipeline -- --mode tracking
+//! cargo run --release -p slj-bench --bin perf_pipeline -- --mode segmentation
 //! ```
 
 use serde::Serialize;
@@ -86,7 +61,6 @@ use slj::prelude::*;
 use slj_bench::scalar::ScalarSegmenter;
 use slj_bench::{banner, f1, print_table};
 use slj_ga::tracker::TrackingRun;
-use slj_ga::Eq3Kernel;
 use slj_imgproc::mask::Mask;
 use slj_runtime::available_threads;
 use slj_segment::background::BackgroundEstimator;
@@ -97,8 +71,7 @@ use slj_video::Frame;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Master seed of the standard clip (shared with the Criterion
-/// `end_to_end` bench).
+/// Master seed of the standard clip.
 const SEED: u64 = 5;
 
 /// Where the JSON baseline lands (repo root, next to ROADMAP.md).
@@ -124,12 +97,6 @@ struct ConfigReport {
     /// `true` when the host had fewer cores than requested — the
     /// parallel timings understate a wider machine.
     clamped: bool,
-    eq3_pruning: bool,
-    fitness_memo: bool,
-    /// The Eq. 3 kernel (`"Scalar"` genome-at-a-time or `"Lanes"`
-    /// SoA + batched); moot for `baseline-serial`, whose unpruned path
-    /// predates both.
-    kernel: Eq3Kernel,
     segmentation_ms: f64,
     tracking_ms: f64,
     analyze_ms: f64,
@@ -143,10 +110,9 @@ struct PipelineSection {
     /// like the streaming analyzer) but still inside `analyze_ms`.
     background_ms: f64,
     configs: Vec<ConfigReport>,
-    /// `baseline-serial` time ÷ `lanes-parallel` time, per layer.
-    speedup_segmentation: f64,
-    speedup_tracking: f64,
-    speedup_analyze: f64,
+    /// Tracking poses and fitness values bit-identical at Serial /
+    /// Fixed(4) / Auto, and one analysis across configs (asserted).
+    identical: bool,
 }
 
 /// One segmentation engine's kernel timings, milliseconds (best of
@@ -188,38 +154,6 @@ struct SegmentationSection {
     identical: bool,
 }
 
-/// One tracking kernel's timing, milliseconds (best of `repeats`).
-#[derive(Debug, Clone, Serialize)]
-struct TrackingReport {
-    name: &'static str,
-    kernel: Eq3Kernel,
-    threads_requested: usize,
-    threads: usize,
-    /// `true` when the host had fewer cores than requested.
-    clamped: bool,
-    tracking_ms: f64,
-}
-
-/// The `--mode tracking` section: the Eq. 3 kernel race.
-#[derive(Debug, Serialize)]
-struct TrackingSection {
-    /// Pruning + fitness memo on for every entrant.
-    eq3_pruning: bool,
-    fitness_memo: bool,
-    configs: Vec<TrackingReport>,
-    /// Full serial `JumpAnalyzer::analyze` with the lane kernel — the
-    /// end-to-end per-clip cost (background + segmentation + tracking
-    /// + scoring).
-    analyze_ms: f64,
-    /// `scalar-reference` ÷ `lanes-serial` tracking wall time.
-    speedup_tracking_serial: f64,
-    /// `scalar-reference` ÷ the best lanes tracking wall time.
-    speedup_tracking_best: f64,
-    /// Poses and fitness values bit-identical across kernels and
-    /// across Serial / Fixed(4) / Auto parallelism (asserted).
-    identical: bool,
-}
-
 /// The whole benchmark: schema documented in DESIGN.md §Performance.
 #[derive(Debug, Serialize)]
 struct BenchReport {
@@ -237,68 +171,25 @@ struct BenchReport {
     pipeline: Option<PipelineSection>,
     /// `null` when the segmentation section was skipped.
     segmentation: Option<SegmentationSection>,
-    /// `null` when the tracking section was skipped.
-    tracking: Option<TrackingSection>,
 }
 
 struct Variant {
     name: &'static str,
     threads_requested: usize,
     parallelism: Parallelism,
-    eq3_pruning: bool,
-    fitness_memo: bool,
-    kernel: Eq3Kernel,
 }
 
-fn variants(requested: usize, resolved: usize) -> Vec<Variant> {
-    vec![
+fn variants(requested: usize, resolved: usize) -> [Variant; 2] {
+    [
         Variant {
-            name: "baseline-serial",
+            name: "serial",
             threads_requested: 1,
             parallelism: Parallelism::Serial,
-            eq3_pruning: false,
-            fitness_memo: false,
-            kernel: Eq3Kernel::Scalar,
         },
         Variant {
-            name: "serial-pruned",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: false,
-            kernel: Eq3Kernel::Scalar,
-        },
-        Variant {
-            name: "serial-optimised",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Scalar,
-        },
-        Variant {
-            name: "parallel-optimised",
+            name: "parallel",
             threads_requested: requested,
             parallelism: Parallelism::Fixed(resolved),
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Scalar,
-        },
-        Variant {
-            name: "lanes-serial",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Lanes,
-        },
-        Variant {
-            name: "lanes-parallel",
-            threads_requested: requested,
-            parallelism: Parallelism::Fixed(resolved),
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Lanes,
         },
     ]
 }
@@ -306,9 +197,6 @@ fn variants(requested: usize, resolved: usize) -> Vec<Variant> {
 fn analyzer_config(base: &AnalyzerConfig, v: &Variant) -> AnalyzerConfig {
     let mut cfg = base.clone();
     cfg.parallelism = v.parallelism;
-    cfg.tracker.problem.eq3_pruning = v.eq3_pruning;
-    cfg.tracker.problem.fitness_memo = v.fitness_memo;
-    cfg.tracker.problem.eq3_kernel = v.kernel;
     cfg
 }
 
@@ -400,6 +288,50 @@ fn run_pipeline_section(
     threads_resolved: usize,
 ) -> PipelineSection {
     let first_pose = jump.poses.poses()[0];
+    let variants = variants(threads_requested, threads_resolved);
+
+    // Correctness first, before any clock starts: parallelism is a
+    // throughput setting, so tracking must reproduce the serial run bit
+    // for bit — poses AND fitness values — at every policy, and every
+    // configuration must produce the identical analysis.
+    let silhouettes: Vec<Mask> = SegmentPipeline::new(base.segmentation.clone())
+        .run(&jump.video)
+        .expect("segmentation")
+        .frames
+        .iter()
+        .map(|s| s.final_mask.clone())
+        .collect();
+    let track = |parallelism: Parallelism| {
+        TemporalTracker::new(TrackerConfig {
+            parallelism,
+            ..base.tracker
+        })
+        .track(&silhouettes, first_pose, &base.dims, &scene.camera)
+        .expect("tracking")
+    };
+    let reference = track(Parallelism::Serial);
+    for (what, parallelism) in [
+        ("fixed4", Parallelism::Fixed(4)),
+        ("auto", Parallelism::Auto),
+    ] {
+        assert_tracks_identical(&reference, &track(parallelism), what);
+    }
+    let analyze = |v: &Variant| {
+        JumpAnalyzer::new(analyzer_config(base, v))
+            .analyze(&jump.video, &scene.camera, first_pose)
+            .expect("analysis")
+    };
+    let reference = analyze(&variants[0]);
+    for v in &variants[1..] {
+        let report = analyze(v);
+        assert_eq!(reference.poses, report.poses, "{}: poses diverged", v.name);
+        assert_eq!(reference.score, report.score, "{}: score diverged", v.name);
+        assert_eq!(
+            reference.health, report.health,
+            "{}: health diverged",
+            v.name
+        );
+    }
 
     // The background estimate is a per-clip cost shared by every
     // configuration (and reused across re-analyses by the streaming
@@ -413,9 +345,8 @@ fn run_pipeline_section(
     let prepared = Arc::new(PreparedBackground::new(&background.image));
 
     let mut configs = Vec::new();
-    let mut reference: Option<AnalysisReport> = None;
-    for v in variants(threads_requested, threads_resolved) {
-        let cfg = analyzer_config(base, &v);
+    for v in &variants {
+        let cfg = analyzer_config(base, v);
 
         // Layer 1: segmentation alone, on the shared prepared
         // background (the per-run background clone is two buffer
@@ -444,45 +375,27 @@ fn run_pipeline_section(
 
         // Layer 3: the full analysis.
         let analyzer = JumpAnalyzer::new(cfg);
-        let (analyze_ms, report) = time_ms(repeats, || {
+        let (analyze_ms, _) = time_ms(repeats, || {
             analyzer
                 .analyze(&jump.video, &scene.camera, first_pose)
                 .expect("analysis")
         });
-
-        // Every variant must produce the identical analysis — the
-        // optimisations are exact, so a mismatch is a bug, not noise.
-        match &reference {
-            None => reference = Some(report),
-            Some(r) => {
-                assert_eq!(r.poses, report.poses, "{}: poses diverged", v.name);
-                assert_eq!(r.score, report.score, "{}: score diverged", v.name);
-                assert_eq!(r.health, report.health, "{}: health diverged", v.name);
-            }
-        }
 
         configs.push(ConfigReport {
             name: v.name,
             threads_requested: v.threads_requested,
             threads: v.parallelism.threads(),
             clamped: v.parallelism.threads() < v.threads_requested,
-            eq3_pruning: v.eq3_pruning,
-            fitness_memo: v.fitness_memo,
-            kernel: v.kernel,
             segmentation_ms,
             tracking_ms,
             analyze_ms,
         });
     }
 
-    let baseline = configs[0].clone();
-    let optimised = configs.last().expect("variants").clone();
     PipelineSection {
         background_ms,
         configs,
-        speedup_segmentation: baseline.segmentation_ms / optimised.segmentation_ms,
-        speedup_tracking: baseline.tracking_ms / optimised.tracking_ms,
-        speedup_analyze: baseline.analyze_ms / optimised.analyze_ms,
+        identical: true,
     }
 }
 
@@ -603,10 +516,10 @@ fn run_segmentation_section(
         let workers = inputs.len().div_ceil(chunk);
         let mut timings = vec![Profiler::default(); workers];
         let config = &seg_config;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (ci, slot) in timings.chunks_mut(1).enumerate() {
                 let prepared = Arc::clone(&prepared);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut segmenter = FrameSegmenter::new(config, prepared);
                     let mut out = FrameStages::empty();
                     let mut t = Profiler::default();
@@ -624,8 +537,7 @@ fn run_segmentation_section(
                     slot[0] = t;
                 });
             }
-        })
-        .expect("segmentation worker panicked");
+        });
         let mut merged = Profiler::default();
         for t in &timings {
             merged.absorb(t);
@@ -678,128 +590,6 @@ fn run_segmentation_section(
     }
 }
 
-fn run_tracking_section(
-    base: &AnalyzerConfig,
-    jump: &SyntheticJump,
-    scene: &SceneConfig,
-    repeats: usize,
-    threads_requested: usize,
-    threads_resolved: usize,
-) -> TrackingSection {
-    let first_pose = jump.poses.poses()[0];
-
-    // Pre-segment once (untimed): the race is about Eq. 3 kernels.
-    let silhouettes: Vec<Mask> = SegmentPipeline::new(base.segmentation.clone())
-        .run(&jump.video)
-        .expect("segmentation")
-        .frames
-        .iter()
-        .map(|s| s.final_mask.clone())
-        .collect();
-
-    let tracker_for = |kernel: Eq3Kernel, parallelism: Parallelism| {
-        let mut cfg = base.tracker;
-        cfg.parallelism = parallelism;
-        cfg.problem.eq3_pruning = true;
-        cfg.problem.fitness_memo = true;
-        cfg.problem.eq3_kernel = kernel;
-        TemporalTracker::new(cfg)
-    };
-    let track = |kernel: Eq3Kernel, parallelism: Parallelism| {
-        tracker_for(kernel, parallelism)
-            .track(&silhouettes, first_pose, &base.dims, &scene.camera)
-            .expect("tracking")
-    };
-
-    // Correctness first: the lane kernel must reproduce the live
-    // scalar path bit for bit — poses AND fitness values — at every
-    // parallelism policy, before any clock starts.
-    let reference = track(Eq3Kernel::Scalar, Parallelism::Serial);
-    for (what, parallelism) in [
-        ("lanes-serial", Parallelism::Serial),
-        ("lanes-fixed4", Parallelism::Fixed(4)),
-        ("lanes-auto", Parallelism::Auto),
-    ] {
-        assert_tracks_identical(&reference, &track(Eq3Kernel::Lanes, parallelism), what);
-    }
-    assert_tracks_identical(
-        &reference,
-        &track(Eq3Kernel::Scalar, Parallelism::Fixed(4)),
-        "scalar-fixed4",
-    );
-
-    let entrants = [
-        (
-            "scalar-reference",
-            Eq3Kernel::Scalar,
-            1,
-            Parallelism::Serial,
-        ),
-        ("lanes-serial", Eq3Kernel::Lanes, 1, Parallelism::Serial),
-        (
-            "lanes-parallel",
-            Eq3Kernel::Lanes,
-            threads_requested,
-            Parallelism::Fixed(threads_resolved),
-        ),
-    ];
-    let configs: Vec<TrackingReport> = entrants
-        .iter()
-        .map(|&(name, kernel, requested, parallelism)| {
-            let tracker = tracker_for(kernel, parallelism);
-            let (tracking_ms, _) = time_ms(repeats, || {
-                tracker
-                    .track(&silhouettes, first_pose, &base.dims, &scene.camera)
-                    .expect("tracking")
-            });
-            TrackingReport {
-                name,
-                kernel,
-                threads_requested: requested,
-                threads: parallelism.threads(),
-                clamped: parallelism.threads() < requested,
-                tracking_ms,
-            }
-        })
-        .collect();
-
-    // The end-to-end figure: one serial clip analysis with the lane
-    // kernel, background and segmentation included.
-    let analyze_cfg = analyzer_config(
-        base,
-        &Variant {
-            name: "lanes-serial",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-            eq3_pruning: true,
-            fitness_memo: true,
-            kernel: Eq3Kernel::Lanes,
-        },
-    );
-    let analyzer = JumpAnalyzer::new(analyze_cfg);
-    let (analyze_ms, _) = time_ms(repeats, || {
-        analyzer
-            .analyze(&jump.video, &scene.camera, first_pose)
-            .expect("analysis")
-    });
-
-    let scalar_ms = configs[0].tracking_ms;
-    let lanes_serial_ms = configs[1].tracking_ms;
-    let best_lanes_ms = configs[1..]
-        .iter()
-        .map(|c| c.tracking_ms)
-        .fold(f64::INFINITY, f64::min);
-    TrackingSection {
-        eq3_pruning: true,
-        fitness_memo: true,
-        configs,
-        analyze_ms,
-        speedup_tracking_serial: scalar_ms / lanes_serial_ms,
-        speedup_tracking_best: scalar_ms / best_lanes_ms,
-        identical: true,
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -813,12 +603,11 @@ fn main() {
         .map(|v| v.parse().expect("--threads takes an integer"))
         .unwrap_or(4);
     let section = flag_value("--mode").unwrap_or_else(|| "all".to_owned());
-    let (run_pipeline, run_segmentation, run_tracking) = match section.as_str() {
-        "pipeline" => (true, false, false),
-        "segmentation" => (false, true, false),
-        "tracking" => (false, false, true),
-        "all" => (true, true, true),
-        other => panic!("--mode {other}: expected pipeline, segmentation, tracking or all"),
+    let (run_pipeline, run_segmentation) = match section.as_str() {
+        "pipeline" => (true, false),
+        "segmentation" => (false, true),
+        "all" => (true, true),
+        other => panic!("--mode {other}: expected pipeline, segmentation or all"),
     };
     // Oversubscribing a CPU-bound stage only adds scheduler churn, so
     // the requested worker count is clamped to the host's cores and
@@ -830,11 +619,7 @@ fn main() {
     } else {
         ("full", 3, AnalyzerConfig::default())
     };
-    banner(
-        "Perf",
-        "pipeline timings: serial baseline vs pruning + memo + lanes + threads",
-        SEED,
-    );
+    banner("Perf", "pipeline timings: serial vs worker threads", SEED);
     println!(
         "   mode {mode}, sections: {section}, {repeats} repeat(s), \
          {threads_requested} worker threads requested ({threads_resolved} after host clamp)\n"
@@ -870,16 +655,6 @@ fn main() {
     let segmentation = run_segmentation.then(|| {
         run_segmentation_section(&base, &jump, repeats, threads_requested, threads_resolved)
     });
-    let tracking = run_tracking.then(|| {
-        run_tracking_section(
-            &base,
-            &jump,
-            &scene,
-            repeats,
-            threads_requested,
-            threads_resolved,
-        )
-    });
 
     if let Some(p) = &pipeline {
         let rows: Vec<Vec<String>> = p
@@ -889,9 +664,6 @@ fn main() {
                 vec![
                     c.name.to_owned(),
                     format!("{}{}", c.threads, if c.clamped { "*" } else { "" }),
-                    if c.eq3_pruning { "on" } else { "off" }.to_owned(),
-                    if c.fitness_memo { "on" } else { "off" }.to_owned(),
-                    format!("{:?}", c.kernel).to_lowercase(),
                     f1(c.segmentation_ms),
                     f1(c.tracking_ms),
                     f1(c.analyze_ms),
@@ -899,25 +671,12 @@ fn main() {
             })
             .collect();
         print_table(
-            &[
-                "config",
-                "threads",
-                "prune",
-                "memo",
-                "kernel",
-                "segment ms",
-                "track ms",
-                "analyze ms",
-            ],
+            &["config", "threads", "segment ms", "track ms", "analyze ms"],
             &rows,
         );
         println!(
-            "\nspeedup vs baseline-serial: segmentation {:.2}x, tracking {:.2}x, analyze {:.2}x",
-            p.speedup_segmentation, p.speedup_tracking, p.speedup_analyze
-        );
-        println!(
-            "(background estimation {:.1} ms, shared per config; all configurations \
-             produced byte-identical analyses{})\n",
+            "\n(background estimation {:.1} ms, shared per config; tracking bit-identical \
+             at Serial / Fixed(4) / Auto and one analysis across configurations{})\n",
             p.background_ms,
             if p.configs.iter().any(|c| c.clamped) {
                 "; * = thread request clamped to the host"
@@ -968,48 +727,14 @@ fn main() {
         );
     }
 
-    if let Some(t) = &tracking {
-        let rows: Vec<Vec<String>> = t
-            .configs
-            .iter()
-            .map(|c| {
-                vec![
-                    c.name.to_owned(),
-                    format!("{:?}", c.kernel).to_lowercase(),
-                    format!("{}{}", c.threads, if c.clamped { "*" } else { "" }),
-                    f1(c.tracking_ms),
-                ]
-            })
-            .collect();
-        print_table(&["config", "kernel", "threads", "track ms"], &rows);
-        println!(
-            "\ntracking-kernel speedup vs live scalar reference: serial {:.2}x, best {:.2}x",
-            t.speedup_tracking_serial, t.speedup_tracking_best
-        );
-        println!(
-            "full serial analyze with lane kernel: {:.1} ms/clip",
-            t.analyze_ms
-        );
-        println!(
-            "(poses and fitness values bit-identical across kernels and Serial / \
-             Fixed(4) / Auto parallelism{})",
-            if t.configs.iter().any(|c| c.clamped) {
-                "; * = thread request clamped to the host"
-            } else {
-                ""
-            }
-        );
-    }
-
     let report = BenchReport {
-        schema: "slj-perf-pipeline/3",
+        schema: "slj-perf-pipeline/4",
         mode,
         clip,
         repeats,
         host_threads: available_threads(),
         pipeline,
         segmentation,
-        tracking,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise");
     std::fs::write(OUT_PATH, json + "\n").expect("write BENCH_pipeline.json");

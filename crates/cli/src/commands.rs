@@ -383,8 +383,6 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
             "inject-faults",
             "events",
             "threads",
-            "worker-mode",
-            "slot-pool",
             "max-degraded",
             "warmup",
         ],
@@ -411,22 +409,6 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         Some(raw) => raw
             .parse::<Parallelism>()
             .map_err(|e| CliError::Usage(format!("--threads: {e}")))?,
-    };
-    let worker_mode = match flags.value("worker-mode") {
-        None => slj_serve::WorkerMode::Pool,
-        Some(raw) => raw
-            .parse::<slj_serve::WorkerMode>()
-            .map_err(|e| CliError::Usage(format!("--worker-mode: {e}")))?,
-    };
-    let slot_pool = match flags.value("slot-pool") {
-        None => true,
-        Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--slot-pool: expected `on` or `off`, got `{other}`"
-            )));
-        }
     };
     if flags.value("max-degraded").is_some() && !flags.switch("best-effort") {
         return Err(CliError::Usage(
@@ -487,8 +469,6 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         queue_depth,
         frame_deadline,
         parallelism,
-        worker_mode,
-        slot_pool,
         ..slj_serve::ServeConfig::default()
     });
     for clip in &clips {

@@ -42,8 +42,7 @@ USAGE:
   slj score   --clip DIR
   slj serve   --clip DIR [--sessions N] [--max-sessions N] [--queue-depth N]
               [--frame-deadline-ms N] [--inject-faults SPEC]
-              [--events FILE.jsonl] [--threads N|auto|serial]
-              [--worker-mode pool|spawn] [--slot-pool on|off] [--fast]
+              [--events FILE.jsonl] [--threads N|auto|serial] [--fast]
               [--best-effort [--max-degraded N]] [--warmup N]
   slj daemon  --listen ADDR[,ADDR...] [--max-sessions N] [--queue-depth N]
               [--frame-deadline-ms N] [--threads N|auto|serial]
@@ -88,11 +87,8 @@ COMMANDS:
              every further session streams an independently seeded
              perturbation; --events writes the slj-serve/1 JSONL
              health-event log; --threads fans session steps out over
-             worker threads with byte-identical events and results;
-             --worker-mode picks the persistent worker pool (default)
-             or per-tick thread spawning, and --slot-pool on|off
-             controls recycling of retired sessions' buffers — every
-             combination is byte-identical)
+             a persistent worker pool with byte-identical events and
+             results)
   daemon    run the long-lived slj-wire/1 socket service (TCP and/or
             Unix-domain, ADDR = tcp:HOST:PORT or unix:PATH) in front of
             the session manager: concurrent clients open sessions,

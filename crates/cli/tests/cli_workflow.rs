@@ -369,12 +369,7 @@ fn serve_is_byte_identical_across_thread_counts() {
         (text, std::fs::read_to_string(&events).unwrap())
     };
     let serial = run("serial", "serial");
-    for (tag, spec) in [
-        ("2", "2"),
-        ("auto", "auto"),
-        ("spawn", "2 --worker-mode spawn"),
-        ("nopool", "2 --slot-pool off"),
-    ] {
+    for (tag, spec) in [("2", "2"), ("auto", "auto")] {
         let other = run(tag, spec);
         // The event files differ only in the path echoed on stdout, so
         // compare the JSONL byte-for-byte and stdout minus that line.
@@ -412,16 +407,15 @@ fn serve_flags_are_validated() {
     );
     let err = invoke("serve --clip nowhere --inject-faults nonsense=1").unwrap_err();
     assert!(matches!(err, CliError::Usage(_)), "{err}");
-    let err = invoke("serve --clip nowhere --worker-mode turbo").unwrap_err();
-    assert!(
-        matches!(err, CliError::Usage(_)) && err.to_string().contains("pool|spawn"),
-        "a bad worker mode should list the valid ones: {err}"
-    );
-    let err = invoke("serve --clip nowhere --slot-pool maybe").unwrap_err();
-    assert!(
-        matches!(err, CliError::Usage(_)) && err.to_string().contains("on` or `off"),
-        "a bad slot-pool value should explain itself: {err}"
-    );
+    // The manager's executor and slot recycling are not configurable.
+    for (flag, value) in [("--worker-mode", "spawn"), ("--slot-pool", "off")] {
+        let err = invoke(&format!("serve --clip nowhere {flag} {value}")).unwrap_err();
+        assert!(
+            matches!(err, CliError::Usage(_))
+                && err.to_string().contains(&format!("unknown flag {flag}")),
+            "{flag} should be an unknown flag: {err}"
+        );
+    }
 }
 
 #[test]

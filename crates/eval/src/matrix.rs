@@ -315,19 +315,19 @@ pub fn run_matrix(config: &MatrixConfig) -> EvalReport {
         }
     } else {
         // As in the segmentation pipeline: disjoint chunks, results land
-        // in matrix order, thread count affects throughput only.
+        // in matrix order, thread count affects throughput only. A
+        // panicking worker panics the caller once every worker has joined.
         let chunk = cells.len().div_ceil(threads);
         let cells = &cells;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (ci, out) in outcomes.chunks_mut(chunk).enumerate() {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (i, slot) in out.iter_mut().enumerate() {
                         *slot = Some(run_cell(&cells[ci * chunk + i], config.max_degraded_frames));
                     }
                 });
             }
-        })
-        .expect("matrix worker panicked");
+        });
     }
 
     let outcomes: Vec<CellOutcome> = outcomes

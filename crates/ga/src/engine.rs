@@ -12,10 +12,10 @@
 //! **minimised** (Eq. 3's `F_S` is a cost: "the smaller the FS is, the
 //! better the stick model fits the silhouette").
 //!
-//! Fitness evaluation can optionally fan out over crossbeam scoped
-//! threads; evaluation is pure, so parallelism never changes results —
-//! all stochastic choices draw from the caller's seeded RNG on one
-//! thread.
+//! Fitness evaluation can optionally fan out over scoped threads
+//! (`std::thread::scope`); evaluation is pure, so parallelism never
+//! changes results — all stochastic choices draw from the caller's
+//! seeded RNG on one thread.
 
 use crate::error::GaError;
 use rand::rngs::StdRng;
@@ -88,7 +88,7 @@ pub struct GaConfig {
     /// Attempts per slot when sampling valid genomes (initialisation and
     /// offspring repair).
     pub validity_retries: usize,
-    /// Evaluate fitness on this many crossbeam threads (1 = serial).
+    /// Evaluate fitness on this many scoped threads (1 = serial).
     pub threads: usize,
 }
 
@@ -200,7 +200,8 @@ pub const MIN_GENOMES_PER_THREAD: usize = 2;
 ///
 /// Evaluation is pure, so the parallel path is bit-identical to the
 /// serial one (asserted by `parallel_matches_serial` and the boundary
-/// tests below).
+/// tests below). A panicking worker panics the caller once every
+/// worker has joined.
 fn evaluate_batch<P: Problem>(
     problem: &P,
     genomes: Vec<P::Genome>,
@@ -213,12 +214,11 @@ fn evaluate_batch<P: Problem>(
         problem.fitness_batch(&genomes, &mut fitnesses);
     } else {
         let chunk = n.div_ceil(threads);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for (gs, fs) in genomes.chunks(chunk).zip(fitnesses.chunks_mut(chunk)) {
-                scope.spawn(move |_| problem.fitness_batch(gs, fs));
+                scope.spawn(move || problem.fitness_batch(gs, fs));
             }
-        })
-        .expect("fitness worker panicked");
+        });
     }
     genomes
         .into_iter()

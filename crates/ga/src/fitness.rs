@@ -15,21 +15,24 @@
 //! unbiased for ranking purposes and the Fig. 7 ablation/benches measure
 //! the speed/accuracy trade-off.
 //!
-//! The default evaluation path is a branch-and-bound over the 8 sticks:
-//! each candidate pose's sticks are prepared once per genome (direction,
-//! squared length and axis-aligned bounding box hoisted out of the
-//! per-pixel loop). Silhouette pixels arrive in scanline order, so the
-//! stick nearest one pixel is almost always nearest the next — each
-//! pixel scores the previous pixel's winner exactly first, then skips
-//! any other stick whose AABB lower bound cannot beat that. The pruned
-//! result is **exact** — bit-identical to the exhaustive scan,
+//! Two scalar scans define the value.
+//! [`SilhouetteFitness::evaluate_unpruned`] scores every stick at every
+//! pixel. [`SilhouetteFitness::evaluate`] is a branch-and-bound over the
+//! 8 sticks: each candidate pose's sticks are prepared once per genome
+//! (direction, squared length and axis-aligned bounding box hoisted out
+//! of the per-pixel loop). Silhouette pixels arrive in scanline order,
+//! so the stick nearest one pixel is almost always nearest the next —
+//! each pixel scores the previous pixel's winner exactly first, then
+//! skips any other stick whose AABB lower bound cannot beat that. The
+//! pruned result is **exact** — bit-identical to the exhaustive scan,
 //! property-tested in `tests/properties.rs` — because the AABB distance
 //! never exceeds the true stick distance and the skip test carries a
 //! slack factor that dominates the rounding error of both computations.
 //!
-//! On top of the scalar paths sits the **lane kernel**
+//! The GA evaluates through the **lane kernel**
 //! ([`SilhouetteFitness::evaluate_lanes`] /
-//! [`SilhouetteFitness::evaluate_batch`]): the sampled points live in a
+//! [`SilhouetteFitness::evaluate_batch`]); the scalar scans are the
+//! oracles it is tested against. The sampled points live in a
 //! [`PreparedFrame`] — structure-of-arrays x[]/y[] planes chunked
 //! [`LANES`] wide — and the per-pixel min-over-sticks runs across a
 //! whole chunk at a time, with the branch-and-bound test lifted to
@@ -48,35 +51,6 @@ use slj_imgproc::mask::Mask;
 use slj_motion::model::ALL_STICKS;
 use slj_motion::{BodyDims, Pose};
 use slj_video::Camera;
-
-/// Which Eq. 3 kernel a [`crate::PoseProblem`] evaluation uses. Both
-/// produce bit-identical fitness values; the choice is a throughput
-/// setting, kept explicit so the perf harness can race the live scalar
-/// reference against the lane kernel forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
-pub enum Eq3Kernel {
-    /// Genome-at-a-time scalar scan with the per-pixel warm-started
-    /// branch-and-bound — the pre-vectorisation hot path, kept live.
-    Scalar,
-    /// Chunked structure-of-arrays kernel with chunk-granular pruning
-    /// and batched population evaluation.
-    #[default]
-    Lanes,
-}
-
-// Manual impl so a missing/null field deserialises to the default —
-// configs serialised before the kernel knob existed must still load
-// (the vendored serde derive has no `#[serde(default)]` support).
-impl serde::Deserialize for Eq3Kernel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Null => Ok(Eq3Kernel::default()),
-            serde::Value::Str(s) if s == "Scalar" => Ok(Eq3Kernel::Scalar),
-            serde::Value::Str(s) if s == "Lanes" => Ok(Eq3Kernel::Lanes),
-            other => Err(serde::DeError::expected("Eq3Kernel variant", other)),
-        }
-    }
-}
 
 /// Number of axis samples per stick for the model→silhouette coverage
 /// term.
@@ -325,8 +299,8 @@ impl SilhouetteFitness {
     }
 
     /// As [`SilhouetteFitness::evaluate`] but scanning all 8 sticks per
-    /// pixel without pruning — the pre-optimisation reference path,
-    /// kept for the exactness property test and the perf baseline.
+    /// pixel without pruning — the reference every faster path is
+    /// tested against.
     pub fn evaluate_unpruned(&self, pose: &Pose, dims: &BodyDims) -> f64 {
         self.evaluate_impl(pose, dims, false)
     }
@@ -734,8 +708,9 @@ fn lanes_eq3_batch_impl(
 /// operations per lane — sub/mul/add/div/min/max/sqrt are all
 /// correctly rounded, the compare-and-blend reproduces the scalar
 /// strict-less update, and no FMA contraction is introduced — so every
-/// lane matches the scalar kernel bitwise (asserted by the unit and
-/// property tests, which run on whatever tier the host dispatches to).
+/// lane matches the scalar kernel bitwise (asserted by a unit test that
+/// calls every tier the host supports, and by the property tests, which
+/// run on whatever tier the host dispatches to).
 // The range loops index several chunk tables in lockstep, and the chunk
 // kernels take the full per-genome argument spread on purpose — hot-path
 // shape over style lints.
@@ -1390,6 +1365,35 @@ mod tests {
         (dims, camera, pose)
     }
 
+    /// `pose` plus displaced and trunk-rotated variants of it.
+    fn displaced_candidates(pose: Pose) -> Vec<Pose> {
+        let mut candidates = vec![pose];
+        for step in 1..=4 {
+            let mut p = pose;
+            p.center.x += step as f64 * 0.12;
+            p.center.y -= step as f64 * 0.03;
+            candidates.push(p);
+            candidates
+                .push(p.with_angle(StickKind::Trunk, Angle::from_degrees(35.0 * step as f64)));
+        }
+        candidates
+    }
+
+    /// A batch of `pose` variants that repeats `pose` at the end:
+    /// duplicates in a batch share hint state but must still get the
+    /// exact per-pose value.
+    fn batch_with_duplicate(pose: Pose) -> Vec<Pose> {
+        let mut poses = vec![pose];
+        for step in 1..=6 {
+            let mut p = pose;
+            p.center.x += step as f64 * 0.07;
+            poses.push(p);
+            poses.push(p.with_angle(StickKind::Thigh, Angle::from_degrees(10.0 * step as f64)));
+        }
+        poses.push(pose);
+        poses
+    }
+
     #[test]
     fn true_pose_scores_below_one() {
         let (dims, camera, pose) = setup();
@@ -1550,16 +1554,7 @@ mod tests {
         let (dims, camera, pose) = setup();
         let sil = render_silhouette(&pose, &dims, &camera);
         let fit = SilhouetteFitness::new(&sil, &dims, &camera, 1).unwrap();
-        let mut candidates = vec![pose];
-        for step in 1..=4 {
-            let mut p = pose;
-            p.center.x += step as f64 * 0.12;
-            p.center.y -= step as f64 * 0.03;
-            candidates.push(p);
-            candidates
-                .push(p.with_angle(StickKind::Trunk, Angle::from_degrees(35.0 * step as f64)));
-        }
-        for (k, p) in candidates.iter().enumerate() {
+        for (k, p) in displaced_candidates(pose).iter().enumerate() {
             assert_eq!(
                 fit.evaluate(p, &dims),
                 fit.evaluate_unpruned(p, &dims),
@@ -1580,16 +1575,7 @@ mod tests {
         // Strides 1/3/5 exercise full, ragged-tail and short frames.
         for stride in [1usize, 3, 5] {
             let fit = SilhouetteFitness::new(&sil, &dims, &camera, stride).unwrap();
-            let mut candidates = vec![pose];
-            for step in 1..=4 {
-                let mut p = pose;
-                p.center.x += step as f64 * 0.12;
-                p.center.y -= step as f64 * 0.03;
-                candidates.push(p);
-                candidates
-                    .push(p.with_angle(StickKind::Trunk, Angle::from_degrees(35.0 * step as f64)));
-            }
-            for (k, p) in candidates.iter().enumerate() {
+            for (k, p) in displaced_candidates(pose).iter().enumerate() {
                 let lanes = fit.evaluate_lanes(p, &dims);
                 assert_eq!(
                     lanes.to_bits(),
@@ -1610,16 +1596,7 @@ mod tests {
         let (dims, camera, pose) = setup();
         let sil = render_silhouette(&pose, &dims, &camera);
         let fit = SilhouetteFitness::new(&sil, &dims, &camera, 2).unwrap();
-        let mut poses = vec![pose];
-        for step in 1..=6 {
-            let mut p = pose;
-            p.center.x += step as f64 * 0.07;
-            poses.push(p);
-            poses.push(p.with_angle(StickKind::Thigh, Angle::from_degrees(10.0 * step as f64)));
-        }
-        // Duplicates in the batch share hint state but must still get
-        // the exact per-pose value.
-        poses.push(pose);
+        let poses = batch_with_duplicate(pose);
         let mut out = vec![0.0; poses.len()];
         let mut scratch = BatchScratch::default();
         fit.evaluate_batch(&poses, &dims, &mut out, &mut scratch);
@@ -1631,6 +1608,87 @@ mod tests {
         let mut again = vec![0.0; poses.len()];
         fit.evaluate_batch(&poses, &dims, &mut again, &mut scratch);
         assert_eq!(out, again);
+    }
+
+    /// Every Eq. 3 lane tier, called directly instead of through the
+    /// runtime dispatch, so the tiers this host would never pick run
+    /// too: the chunked scalar tier always, AVX-512F and AVX2 when the
+    /// CPU has them. Each must match the unpruned scalar scan bit for
+    /// bit, single-genome and batched. The outside penalty is off, so
+    /// `evaluate_unpruned` is exactly the Eq. 3 sum over N the tiers
+    /// compute.
+    #[test]
+    fn every_lane_tier_is_bit_identical_to_unpruned() {
+        type Sum = fn(&PreparedFrame, &[PreparedStick; 8]) -> f64;
+        type Batch = fn(&PreparedFrame, &[[PreparedStick; 8]], &mut [u32], &mut [f64]);
+        #[allow(unused_mut)] // no SIMD tiers off x86-64
+        let mut tiers: Vec<(&str, Sum, Batch)> =
+            vec![("chunked scalar", lanes_eq3_sum_impl, lanes_eq3_batch_impl)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY (both closures): the feature was detected at
+                // runtime.
+                tiers.push((
+                    "avx512f",
+                    |f, s| unsafe { x86::eq3_sum_avx512(f, s) },
+                    |f, s, h, t| unsafe { x86::eq3_batch_avx512(f, s, h, t) },
+                ));
+            }
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY (both closures): the feature was detected at
+                // runtime.
+                tiers.push((
+                    "avx2",
+                    |f, s| unsafe { x86::eq3_sum_avx2(f, s) },
+                    |f, s, h, t| unsafe { x86::eq3_batch_avx2(f, s, h, t) },
+                ));
+            }
+        }
+        let (dims, camera, pose) = setup();
+        let sil = render_silhouette(&pose, &dims, &camera);
+        let eq3_only =
+            |stride| SilhouetteFitness::with_outside_weight(&sil, &dims, &camera, stride, 0.0);
+
+        // Single genomes, at strides 1/3/5: full, ragged-tail and
+        // short frames.
+        for stride in [1usize, 3, 5] {
+            let fit = eq3_only(stride).unwrap();
+            let n = fit.frame.len() as f64;
+            for (k, p) in displaced_candidates(pose).iter().enumerate() {
+                let reference = fit.evaluate_unpruned(p, &dims).to_bits();
+                let sticks = fit.project(p, &dims);
+                for &(tier, sum, _) in &tiers {
+                    assert_eq!(
+                        (sum(&fit.frame, &sticks) / n).to_bits(),
+                        reference,
+                        "{tier}: stride {stride} candidate {k}"
+                    );
+                }
+            }
+        }
+
+        // Batches, at every prefix length so each genome grouping (8,
+        // 4, 2 and 1 wide) runs.
+        let fit = eq3_only(2).unwrap();
+        let n = fit.frame.len() as f64;
+        let poses = batch_with_duplicate(pose);
+        let sticks: Vec<[PreparedStick; 8]> = poses.iter().map(|p| fit.project(p, &dims)).collect();
+        let reference: Vec<u64> = poses
+            .iter()
+            .map(|p| fit.evaluate_unpruned(p, &dims).to_bits())
+            .collect();
+        for &(tier, _, batch) in &tiers {
+            let mut hints = vec![0u32; fit.frame.num_chunks()];
+            for len in 1..=sticks.len() {
+                // Hints carry over from the previous prefix on purpose:
+                // they steer work, never values.
+                let mut totals = vec![0.0f64; len];
+                batch(&fit.frame, &sticks[..len], &mut hints, &mut totals);
+                let got: Vec<u64> = totals.iter().map(|t| (t / n).to_bits()).collect();
+                assert_eq!(got, reference[..len], "{tier}: batch of {len}");
+            }
+        }
     }
 
     #[test]

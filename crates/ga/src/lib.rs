@@ -9,7 +9,7 @@
 //! which collapses convergence from ~200 generations to a handful.
 //!
 //! * [`engine`] — a generic minimising GA with elitism, rank selection
-//!   and optional crossbeam-parallel fitness evaluation.
+//!   and optional scoped-thread parallel fitness evaluation.
 //! * [`fitness`] — Eq. 3: `F_S = (Σ_p min_l d(p, S_l)/t_l) / N`.
 //! * [`pose_problem`] — the chromosome encoding, grouped crossover,
 //!   mutation, validity constraint and initial-population strategies.
@@ -47,7 +47,7 @@ pub mod tracker;
 
 pub use engine::{evolve, GaConfig, GaRun, Problem};
 pub use error::GaError;
-pub use fitness::{BatchScratch, Eq3Kernel, PruneStats, SilhouetteFitness};
+pub use fitness::{BatchScratch, PruneStats, SilhouetteFitness};
 pub use particle::{ParticleFilter, ParticleFilterConfig, ParticleRun};
 pub use pose_problem::{InitStrategy, PoseProblem, PoseProblemConfig, ProblemScratch};
 pub use tracker::{

@@ -297,39 +297,32 @@ proptest! {
     #[test]
     fn batched_problem_fitness_matches_scalar_kernel(
         seed in any::<u64>(),
-        memo in any::<bool>(),
         split in 1usize..11,
     ) {
-        // `PoseProblem::fitness_batch` with the lane kernel must agree
-        // bitwise with the scalar-kernel per-genome path, regardless of
-        // memoisation, in-batch duplicates, or how the population is
-        // split into batches (thread-chunk independence).
+        // `PoseProblem::fitness_batch` must agree bitwise with the
+        // scalar per-genome evaluation, regardless of in-batch
+        // duplicates, memo hits, or how the population is split into
+        // batches (thread-chunk independence).
         let (sil, dims, camera, _pose) = fixture();
-        let config = |kernel| PoseProblemConfig {
-            eq3_kernel: kernel,
-            fitness_memo: memo,
-            ..PoseProblemConfig::default()
-        };
-        let lanes = PoseProblem::new(
-            &sil, &dims, &camera, InitStrategy::FullRange, config(slj_ga::fitness::Eq3Kernel::Lanes),
-        )
-        .unwrap();
-        let scalar = PoseProblem::new(
-            &sil, &dims, &camera, InitStrategy::FullRange, config(slj_ga::fitness::Eq3Kernel::Scalar),
+        let problem = PoseProblem::new(
+            &sil, &dims, &camera, InitStrategy::FullRange, PoseProblemConfig::default(),
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut genomes: Vec<Pose> = (0..10).map(|_| lanes.random_genome(&mut rng)).collect();
+        let mut genomes: Vec<Pose> = (0..10).map(|_| problem.random_genome(&mut rng)).collect();
         genomes.push(genomes[3]);
         genomes.push(genomes[3]);
         let mut whole = vec![0.0f64; genomes.len()];
-        lanes.fitness_batch(&genomes, &mut whole);
+        problem.fitness_batch(&genomes, &mut whole);
+        // Emptied, the memo makes the split batches evaluate again.
+        problem.memo().clear();
         let mut chunked = vec![0.0f64; genomes.len()];
         for (gs, out) in genomes.chunks(split).zip(chunked.chunks_mut(split)) {
-            lanes.fitness_batch(gs, out);
+            problem.fitness_batch(gs, out);
         }
         for ((genome, &value), &split_value) in genomes.iter().zip(&whole).zip(&chunked) {
-            prop_assert_eq!(value.to_bits(), scalar.fitness(genome).to_bits());
+            let scalar = problem.fitness_fn().evaluate(genome, &dims);
+            prop_assert_eq!(value.to_bits(), scalar.to_bits());
             prop_assert_eq!(split_value.to_bits(), value.to_bits());
         }
     }

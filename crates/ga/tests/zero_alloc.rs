@@ -2,12 +2,13 @@
 //! evaluation and the validity test must not touch the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up batch (growing the pooled [`EvalScratch`] buffers to their
-//! high-water mark), a second batch through the same
-//! `PoseProblem::fitness_batch` path is asserted to perform **zero**
-//! allocations — through pose projection, the lane Eq. 3 kernel, and
-//! the outside-penalty term. Separate tests cover the memoised all-hit
-//! path and `PoseProblem::is_valid`.
+//! warm-up batch (growing the pooled [`EvalScratch`] buffers and the
+//! memo table to their high-water mark) and a memo clear, a second
+//! batch through the same `PoseProblem::fitness_batch` path is asserted
+//! to perform **zero** allocations — through pose projection, the lane
+//! Eq. 3 kernel, the outside-penalty term and the memo inserts.
+//! Separate tests cover the memoised all-hit path and
+//! `PoseProblem::is_valid`.
 //!
 //! The counter is per thread, so tests running side by side cannot
 //! pollute each other's counts.
@@ -15,7 +16,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use slj_ga::engine::Problem;
-use slj_ga::fitness::Eq3Kernel;
 use slj_ga::pose_problem::{InitStrategy, PoseProblem, PoseProblemConfig};
 use slj_motion::{BodyDims, Pose};
 use slj_video::render::render_silhouette;
@@ -100,17 +100,16 @@ fn fixture(config: PoseProblemConfig) -> (PoseProblem, Vec<Pose>) {
 
 #[test]
 fn batched_evaluation_is_allocation_free() {
-    // Memo off: every batch takes the full dedup → project → lane
-    // kernel → outside-penalty path.
-    let (problem, genomes) = fixture(PoseProblemConfig {
-        eq3_kernel: Eq3Kernel::Lanes,
-        fitness_memo: false,
-        ..PoseProblemConfig::default()
-    });
+    let (problem, genomes) = fixture(PoseProblemConfig::default());
     let mut out = vec![0.0f64; genomes.len()];
-    // Warm-up batch grows every pooled scratch buffer.
+    // Warm-up batch grows every pooled scratch buffer and the memo
+    // table.
     problem.fitness_batch(&genomes, &mut out);
     let expected = out.clone();
+    // Emptied but not shrunk, as the tracker's recycled memo is: every
+    // genome misses again, so the batch takes the full dedup →
+    // project → lane kernel → outside-penalty → memo-insert path.
+    problem.memo().clear();
 
     let ((), delta) = allocations_during(|| problem.fitness_batch(&genomes, &mut out));
     assert_eq!(delta, 0, "steady-state batch performed {delta} allocations");
@@ -122,14 +121,10 @@ fn batched_evaluation_is_allocation_free() {
 
 #[test]
 fn memoised_batch_is_allocation_free_on_full_hit() {
-    // Memo on: the warm-up batch pays the HashMap inserts; a repeat of
-    // the same genomes is answered entirely from the memo without
-    // touching the heap.
-    let (problem, genomes) = fixture(PoseProblemConfig {
-        eq3_kernel: Eq3Kernel::Lanes,
-        fitness_memo: true,
-        ..PoseProblemConfig::default()
-    });
+    // The warm-up batch pays the HashMap inserts; a repeat of the same
+    // genomes is answered entirely from the memo without touching the
+    // heap.
+    let (problem, genomes) = fixture(PoseProblemConfig::default());
     let mut out = vec![0.0f64; genomes.len()];
     problem.fitness_batch(&genomes, &mut out);
     let expected = out.clone();

@@ -1,21 +1,21 @@
 //! A persistent worker pool with a per-dispatch epoch barrier.
 //!
-//! The serve layer used to re-spawn a crossbeam scoped fan-out on every
-//! supervisor tick; at high tick rates the thread create/join cost
-//! dominates the (small) per-tick work. [`WorkerPool`] keeps the
-//! workers alive across dispatches: [`WorkerPool::run`] publishes one
-//! job under a mutex, bumps an epoch, and wakes every worker; each
-//! worker runs its shard (or skips, when there are fewer shards than
-//! workers this round), decrements a `remaining` counter, and the last
-//! one wakes the caller. `run` does not return until every worker has
+//! The serve layer fans session steps out on every supervisor tick; at
+//! high tick rates a thread create/join per tick would dominate the
+//! (small) per-tick work. [`WorkerPool`] keeps the workers alive across
+//! dispatches: [`WorkerPool::run`] publishes one job under a mutex,
+//! bumps an epoch, and wakes every worker; each worker runs its shard
+//! (or skips, when there are fewer shards than workers this round),
+//! decrements a `remaining` counter, and the last one wakes the
+//! caller. `run` does not return until every worker has
 //! checked in, so the job closure may safely borrow the caller's stack
-//! — the same guarantee a crossbeam scope gives, without the per-call
-//! spawn.
+//! — the same guarantee `std::thread::scope` gives, without the
+//! per-call spawn.
 //!
 //! Determinism: the pool never decides *what* a shard contains — the
 //! caller fixes the shard → work assignment before dispatch (the serve
-//! manager uses the same contiguous session chunks as the spawn path),
-//! so which OS thread executes a shard can never change any output.
+//! manager uses contiguous session chunks), so which OS thread executes
+//! a shard can never change any output.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -101,8 +101,8 @@ impl WorkerPool {
     ///
     /// Panics with `"session steps are panic-isolated"` if any shard's
     /// job panicked (after every worker has reached the barrier, so the
-    /// pool stays consistent for the next dispatch) — mirroring the
-    /// scoped-spawn path this pool replaces.
+    /// pool stays consistent for the next dispatch), as a scoped-thread
+    /// fan-out would.
     pub fn run(&self, shards: usize, job: &(dyn Fn(usize) + Sync)) {
         if shards == 0 {
             return;

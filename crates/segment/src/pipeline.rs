@@ -240,10 +240,11 @@ impl SegmentPipeline {
     /// Runs all five steps over a clip.
     ///
     /// When [`PipelineConfig::parallelism`] resolves to more than one
-    /// thread, the per-frame stages fan out over crossbeam scoped
-    /// threads in contiguous frame chunks. Frame k only ever reads the
-    /// shared background estimate and input frames k and k−1, so the
-    /// parallel result is bit-identical to the serial one (tested).
+    /// thread, the per-frame stages fan out over scoped threads in
+    /// contiguous frame chunks. Frame k only ever reads the shared
+    /// background estimate and input frames k and k−1, so the parallel
+    /// result is bit-identical to the serial one (tested). A panicking
+    /// worker panics the caller once every worker has joined.
     ///
     /// # Errors
     ///
@@ -311,10 +312,10 @@ impl SegmentPipeline {
             slots.resize_with(inputs.len(), || None);
             let chunk = inputs.len().div_ceil(threads);
             let config = &self.config;
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (ci, out) in slots.chunks_mut(chunk).enumerate() {
                     let prepared = Arc::clone(&prepared);
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut segmenter = FrameSegmenter::new(config, prepared);
                         for (i, slot) in out.iter_mut().enumerate() {
                             let k = ci * chunk + i;
@@ -322,8 +323,7 @@ impl SegmentPipeline {
                         }
                     });
                 }
-            })
-            .expect("segmentation worker panicked");
+            });
             slots
                 .into_iter()
                 .map(|s| s.expect("every frame processed"))

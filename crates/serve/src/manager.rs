@@ -4,10 +4,10 @@
 //! Producers `open` sessions, `offer` frames (learning about
 //! backpressure synchronously via [`OfferReply`]) and `close` clips;
 //! the service `tick`s, which processes at most one frame per session
-//! per tick — in session order serially, or fanned out over the
-//! configured [`Parallelism`] with results merged back in session
-//! order, so the event stream, metrics and analyses are byte-identical
-//! at every thread count.
+//! per tick — in session order serially, or fanned out over a
+//! persistent [`WorkerPool`] sized by the configured [`Parallelism`]
+//! with results merged back in session order, so the event stream,
+//! metrics and analyses are byte-identical at every thread count.
 
 use std::fmt;
 use std::sync::Mutex;
@@ -31,47 +31,6 @@ pub enum DeadlineClock {
     /// [`ServiceFaultPlan::overrun`] — the chaos-test setting (no
     /// wall-clock read at all).
     Scripted,
-}
-
-/// How `tick` fans sessions out across threads when the configured
-/// [`Parallelism`] resolves to more than one.
-///
-/// Both modes shard sessions into the same contiguous chunks and merge
-/// per-chunk event buffers back in session order, so events, analyses
-/// and metrics are byte-identical between them (and with serial) — the
-/// choice is throughput-only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkerMode {
-    /// A persistent [`WorkerPool`]: threads are spawned once (lazily,
-    /// on the first parallel tick) and parked between ticks, so the
-    /// per-tick cost is an epoch wake-up instead of thread
-    /// create/join. The production setting.
-    #[default]
-    Pool,
-    /// Scoped threads spawned and joined every tick. Kept as the
-    /// baseline the throughput bench races the pool against.
-    Spawn,
-}
-
-impl fmt::Display for WorkerMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            WorkerMode::Pool => "pool",
-            WorkerMode::Spawn => "spawn",
-        })
-    }
-}
-
-impl std::str::FromStr for WorkerMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "pool" => Ok(WorkerMode::Pool),
-            "spawn" => Ok(WorkerMode::Spawn),
-            other => Err(format!("unknown worker mode `{other}` (pool|spawn)")),
-        }
-    }
 }
 
 /// Service-level knobs. Every bound is explicit; nothing in the
@@ -104,16 +63,10 @@ pub struct ServeConfig {
     /// The supervisor restart ladder's pacing.
     pub restart: BackoffConfig,
     /// Manager-level fan-out: how many sessions step concurrently per
-    /// tick. Throughput-only, like every `Parallelism` in the
-    /// workspace.
+    /// tick, on a persistent [`WorkerPool`]. Throughput-only, like
+    /// every `Parallelism` in the workspace; resolved to a thread count
+    /// once, in [`SessionManager::new`].
     pub parallelism: Parallelism,
-    /// How the fan-out is executed (persistent pool vs per-tick
-    /// spawn). Byte-identical results either way.
-    pub worker_mode: WorkerMode,
-    /// Recycle retired sessions' heavy state (frame arenas, queue
-    /// storage, GA scratch) into the next `open`, so steady-state
-    /// session churn does no large allocations.
-    pub slot_pool: bool,
 }
 
 impl Default for ServeConfig {
@@ -131,8 +84,6 @@ impl Default for ServeConfig {
             clean_frames_to_reset: 8,
             restart: BackoffConfig::default(),
             parallelism: Parallelism::Serial,
-            worker_mode: WorkerMode::Pool,
-            slot_pool: true,
         }
     }
 }
@@ -245,8 +196,15 @@ pub struct SessionManager {
     seq: u64,
     tick: u64,
     next_id: SessionId,
+    /// Retired sessions' heavy state (frame arenas, queue storage, GA
+    /// scratch), adopted by the next `open` so steady-state session
+    /// churn does no large allocations. At most `max_sessions`.
     slots: Vec<SessionSlot>,
     aggregate: MetricsRegistry,
+    /// `config.parallelism` resolved once, so the pool and every
+    /// tick's shards are sized from one value.
+    threads: usize,
+    /// Spawned on the first tick that fans out, with `threads` workers.
     workers: Option<WorkerPool>,
     draining: bool,
 }
@@ -255,6 +213,7 @@ impl SessionManager {
     /// An empty manager.
     pub fn new(config: ServeConfig) -> Self {
         SessionManager {
+            threads: config.parallelism.threads(),
             config,
             chaos: ServiceFaultPlan::none(),
             sessions: Vec::new(),
@@ -302,11 +261,7 @@ impl SessionManager {
             });
         }
         let id = self.next_id;
-        let slot = if self.config.slot_pool {
-            self.slots.pop().unwrap_or_default()
-        } else {
-            SessionSlot::default()
-        };
+        let slot = self.slots.pop().unwrap_or_default();
         let session = Session::new(id, config, &self.config, slot).map_err(ServeError::Analyzer)?;
         self.next_id += 1;
         self.sessions.push(session);
@@ -366,10 +321,10 @@ impl SessionManager {
     /// Retires a **terminal** session: removes it from service (freeing
     /// a `max_sessions` slot for a fresh `open`), folds its metrics
     /// into the service-lifetime aggregate
-    /// ([`SessionManager::aggregate_metrics`]) and — when `slot_pool`
-    /// is on — recycles its heavy state (frame arenas, queue storage,
-    /// GA scratch) into the next `open`. Any untaken analysis result
-    /// is discarded, so call [`SessionManager::take_result`] first.
+    /// ([`SessionManager::aggregate_metrics`]) and recycles its heavy
+    /// state (frame arenas, queue storage, GA scratch) into the next
+    /// `open`. Any untaken analysis result is discarded, so call
+    /// [`SessionManager::take_result`] first.
     ///
     /// # Errors
     ///
@@ -386,7 +341,7 @@ impl SessionManager {
         }
         let (slot, metrics) = self.sessions.remove(index).retire();
         self.aggregate.absorb(&metrics);
-        if self.config.slot_pool && self.slots.len() < self.config.max_sessions {
+        if self.slots.len() < self.config.max_sessions {
             self.slots.push(slot);
         }
         Ok(())
@@ -463,17 +418,13 @@ impl SessionManager {
 
     /// One service tick: each live session processes at most one
     /// queued frame (or finalizes, or accrues idleness), in session
-    /// order — optionally fanned out over the configured parallelism
-    /// with per-session event buffers merged back in session order.
+    /// order — optionally fanned out over the worker pool with
+    /// per-session event buffers merged back in session order.
     /// Returns how many sessions did work.
     pub fn tick(&mut self) -> usize {
         self.tick += 1;
         let tick = self.tick;
-        let threads = self
-            .config
-            .parallelism
-            .threads()
-            .min(self.sessions.len().max(1));
+        let threads = self.threads.min(self.sessions.len().max(1));
         let mut progressed = 0usize;
         let mut merged: Vec<(SessionId, EventKind)> = Vec::new();
         if threads <= 1 {
@@ -482,51 +433,18 @@ impl SessionManager {
                     progressed += 1;
                 }
             }
-        } else if self.config.worker_mode == WorkerMode::Spawn {
-            let chunk_size = self.sessions.len().div_ceil(threads);
-            let config = &self.config;
-            let chaos = &self.chaos;
-            let chunks: Vec<&mut [Session]> = self.sessions.chunks_mut(chunk_size).collect();
-            let mut buffers: Vec<Vec<(SessionId, EventKind)>> =
-                (0..chunks.len()).map(|_| Vec::new()).collect();
-            let mut counts = vec![0usize; chunks.len()];
-            crossbeam::scope(|scope| {
-                for ((chunk, buffer), count) in chunks
-                    .into_iter()
-                    .zip(buffers.iter_mut())
-                    .zip(counts.iter_mut())
-                {
-                    scope.spawn(move |_| {
-                        for session in chunk.iter_mut() {
-                            if session.step(config, chaos, buffer) {
-                                *count += 1;
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("session steps are panic-isolated");
-            // Chunks are contiguous and in order, so concatenating the
-            // per-chunk buffers restores exact session order — the
-            // same stream the serial loop produces.
-            for buffer in buffers {
-                merged.extend(buffer);
-            }
-            progressed = counts.iter().sum();
         } else {
-            // Persistent pool: same contiguous sharding as the spawn
-            // path, so the merged stream is byte-identical — only the
-            // thread lifecycle differs (parked workers woken by an
-            // epoch bump instead of spawn/join).
+            // Contiguous shards, at most one per worker, with per-shard
+            // event buffers concatenated in shard order: exactly the
+            // stream the serial loop produces.
             struct Shard<'a> {
                 sessions: &'a mut [Session],
                 events: Vec<(SessionId, EventKind)>,
                 progressed: usize,
             }
-            let pool_threads = self.config.parallelism.threads();
             let workers = self
                 .workers
-                .get_or_insert_with(|| WorkerPool::new(pool_threads));
+                .get_or_insert_with(|| WorkerPool::new(self.threads));
             let chunk_size = self.sessions.len().div_ceil(threads);
             let config = &self.config;
             let chaos = &self.chaos;

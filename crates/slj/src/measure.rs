@@ -137,7 +137,7 @@ pub fn measure_jump(seq: &PoseSeq, dims: &BodyDims) -> Result<JumpMeasurement, M
     let airborne: Vec<bool> = clearances.iter().map(|&c| c > threshold).collect();
 
     // The airborne run with the most clearance integrated above the
-    // threshold. A length criterion is fooled by shallow pre-takeoff
+    // threshold. A length test is fooled by shallow pre-takeoff
     // bounces of the same duration as the flight; height is not.
     let lift = |s: usize, e: usize| -> f64 { clearances[s..e].iter().map(|c| c - threshold).sum() };
     let mut best: Option<(usize, usize)> = None; // [start, end)

@@ -26,7 +26,7 @@ use slj::JumpAnalysis;
 use slj_runtime::BackoffConfig;
 use slj_serve::{
     DeadlineClock, EventKind, HealthEvent, OfferReply, RestartMode, ServeConfig, ServeError,
-    ServiceFaultPlan, SessionConfig, SessionManager, SessionState, WorkerMode,
+    ServiceFaultPlan, SessionConfig, SessionManager, SessionState,
 };
 
 fn streamable_fast() -> AnalyzerConfig {
@@ -79,8 +79,6 @@ fn serve_config() -> ServeConfig {
             seed: 0,
         },
         parallelism: Parallelism::Serial,
-        worker_mode: WorkerMode::Pool,
-        slot_pool: true,
     }
 }
 
@@ -492,15 +490,14 @@ fn deadline_overruns_escalate_policy_then_trip_the_breaker() {
 /// One churn soak: `WAVES` waves of sessions through a
 /// `max_sessions`-bounded manager. Every wave closes, has its results
 /// taken and is retired before the next opens, so waves after the
-/// first run entirely in recycled slots when `slot_pool` is on. One
-/// session per wave is poisoned, so the checkpoint-restart ladder also
-/// executes inside a recycled slot. Returns the event stream, every
+/// first run entirely in recycled slots. One session per wave is
+/// poisoned, so the checkpoint-restart ladder also executes inside a
+/// recycled slot. Returns the event stream, every
 /// session's result, every session's metrics rendering and the
 /// manager's aggregate-metrics rendering.
 #[allow(clippy::type_complexity)]
 fn churn_run(
     parallelism: Parallelism,
-    slot_pool: bool,
     jump: &SyntheticJump,
     camera: &Camera,
 ) -> (
@@ -521,7 +518,6 @@ fn churn_run(
     let mut manager = SessionManager::new(ServeConfig {
         max_sessions: PER_WAVE,
         parallelism,
-        slot_pool,
         ..serve_config()
     })
     .with_chaos(chaos);
@@ -561,7 +557,7 @@ fn churn_run(
     assert_eq!(manager.session_ids().count(), 0);
     assert_eq!(
         manager.pooled_slots(),
-        if slot_pool { PER_WAVE } else { 0 },
+        PER_WAVE,
         "slot pool holds at most one slot per capacity unit"
     );
     (
@@ -580,24 +576,39 @@ fn session_churn_reuses_slots_byte_identically_and_bounds_metrics() {
     let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 97);
     let reference = reference_run(&streamable_fast(), &jump, &scene.camera);
 
-    let pooled = churn_run(Parallelism::Serial, true, &jump, &scene.camera);
-    // Recycled slots must be invisible to results: a run with pooling
-    // off (every session builds fresh state) is byte-identical.
-    let fresh = churn_run(Parallelism::Serial, false, &jump, &scene.camera);
-    assert_eq!(pooled.0, fresh.0, "recycled slots changed the events");
-    assert_eq!(pooled.1, fresh.1, "recycled slots changed the analyses");
-    assert_eq!(pooled.2, fresh.2, "recycled slots changed the metrics");
-    assert_eq!(pooled.3, fresh.3, "recycled slots changed the aggregate");
-    // And churn must stay deterministic across the fan-out settings.
+    let serial = churn_run(Parallelism::Serial, &jump, &scene.camera);
+    // Churn must stay deterministic across the fan-out settings.
     for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
-        let run = churn_run(parallelism, true, &jump, &scene.camera);
-        assert_eq!(pooled.0, run.0, "{parallelism}: events differ");
-        assert_eq!(pooled.1, run.1, "{parallelism}: analyses differ");
-        assert_eq!(pooled.2, run.2, "{parallelism}: metrics differ");
-        assert_eq!(pooled.3, run.3, "{parallelism}: aggregate differs");
+        let run = churn_run(parallelism, &jump, &scene.camera);
+        assert_eq!(serial.0, run.0, "{parallelism}: events differ");
+        assert_eq!(serial.1, run.1, "{parallelism}: analyses differ");
+        assert_eq!(serial.2, run.2, "{parallelism}: metrics differ");
+        assert_eq!(serial.3, run.3, "{parallelism}: aggregate differs");
     }
 
-    let (events, results, _metrics, aggregate) = pooled;
+    let (events, results, metrics, aggregate) = serial;
+    // Recycled slots must be invisible to results: wave 0 builds fresh
+    // state, waves 1 and 2 run in slots the wave before retired, and
+    // every recycled session repeats its fresh counterpart's analysis,
+    // metrics and decision trail byte for byte.
+    for wave in 1..WAVES {
+        for lane in 0..PER_WAVE {
+            let (fresh, recycled) = (lane, wave * PER_WAVE + lane);
+            assert_eq!(
+                results[recycled], results[fresh],
+                "recycled slot changed session {recycled}'s analysis"
+            );
+            assert_eq!(
+                metrics[recycled], metrics[fresh],
+                "recycled slot changed session {recycled}'s metrics"
+            );
+            assert_eq!(
+                decision_trail(&events, recycled),
+                decision_trail(&events, fresh),
+                "recycled slot changed session {recycled}'s decisions"
+            );
+        }
+    }
     for wave in 0..WAVES {
         for lane in 0..PER_WAVE {
             let id = wave * PER_WAVE + lane;
