@@ -14,8 +14,6 @@
 
 use std::path::PathBuf;
 
-pub mod scalar;
-
 /// Prints an aligned markdown table to stdout.
 pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     let cols = headers.len();

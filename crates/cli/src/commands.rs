@@ -127,9 +127,9 @@ pub fn analyze<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         ],
     )?;
     let clip_dir = flags.required("clip")?.to_owned();
-    // Worker threads for segmentation and GA fitness evaluation.
-    // Defaults to one per core; results are bit-identical at any
-    // setting, so this is safe to leave on auto.
+    // Worker threads for GA fitness evaluation. Defaults to one per
+    // core; results are bit-identical at any setting, so this is safe
+    // to leave on auto.
     let parallelism = match flags.value("threads") {
         None => Parallelism::Auto,
         Some(raw) => raw

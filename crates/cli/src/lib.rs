@@ -64,9 +64,10 @@ COMMANDS:
             (--best-effort tolerates degraded frames and masks them out
              of scoring; --inject-faults perturbs the clip first, e.g.
              'drop=0.1,dup=0.05,flicker=0.08,burst=2:3:40,jitter=2,bars=1,seed=9';
-             --threads sets worker threads for segmentation and GA
-             fitness evaluation — default auto = one per core; results
-             are bit-identical at any thread count;
+             --threads sets worker threads for GA fitness evaluation
+             (segmentation runs its frames in order on one thread) —
+             default auto = one per core; results are bit-identical at
+             any thread count;
              --stream analyses frame by frame in O(1) memory — the
              background comes from the first --warmup frames (default
              14) and results are byte-identical to a batch run of the

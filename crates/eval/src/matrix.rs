@@ -314,9 +314,9 @@ pub fn run_matrix(config: &MatrixConfig) -> EvalReport {
             *slot = Some(run_cell(cell, config.max_degraded_frames));
         }
     } else {
-        // As in the segmentation pipeline: disjoint chunks, results land
-        // in matrix order, thread count affects throughput only. A
-        // panicking worker panics the caller once every worker has joined.
+        // Disjoint chunks: results land in matrix order, and the thread
+        // count affects throughput only. A panicking worker panics the
+        // caller once every worker has joined.
         let chunk = cells.len().div_ceil(threads);
         let cells = &cells;
         std::thread::scope(|scope| {

@@ -1138,7 +1138,7 @@ mod x86 {
         _mm512_storeu_pd(roots_a.as_mut_ptr(), _mm512_sqrt_pd(best_a));
         _mm512_storeu_pd(roots_b.as_mut_ptr(), _mm512_sqrt_pd(best_b));
         // Two independent in-order chains; the hardware interleaves
-        // them, each one identical to its scalar-reference order.
+        // them, each one identical to the scalar scan's order.
         for l in 0..live {
             *total_a += roots_a[l];
             *total_b += roots_b[l];
@@ -1198,7 +1198,7 @@ mod x86 {
             _mm512_storeu_pd(roots[g].as_mut_ptr(), _mm512_sqrt_pd(best[g]));
         }
         // N independent in-order chains; the hardware interleaves them,
-        // each one identical to its scalar-reference order.
+        // each one identical to the scalar scan's order.
         for l in 0..live {
             for g in 0..N {
                 totals[g] += roots[g][l];

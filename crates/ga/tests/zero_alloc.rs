@@ -10,9 +10,14 @@
 //! Separate tests cover the memoised all-hit path and
 //! `PoseProblem::is_valid`.
 //!
-//! The counter is per thread, so tests running side by side cannot
-//! pollute each other's counts.
+//! The counter, shared with the other allocation suites
+//! (`tests/support/counting_alloc.rs`), is read per thread here, so
+//! tests running side by side cannot pollute each other's counts.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations_during;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use slj_ga::engine::Problem;
@@ -20,58 +25,6 @@ use slj_ga::pose_problem::{InitStrategy, PoseProblem, PoseProblemConfig};
 use slj_motion::{BodyDims, Pose};
 use slj_video::render::render_silhouette;
 use slj_video::Camera;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// System allocator plus a per-thread allocation counter.
-struct CountingAllocator;
-
-thread_local! {
-    // `const`-initialised and free of `Drop`: no lazy set-up and no
-    // destructor, so counting never allocates and never re-enters the
-    // allocator.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-// SAFETY: defers to the system allocator; the counter is a side effect.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-/// Runs `f` and returns the allocations it made on this thread. That
-/// is all of them when `f` runs on this thread alone, which a zero
-/// count itself proves: starting a thread allocates on the starting
-/// thread (`starting_a_thread_allocates_on_the_caller`), and no
-/// measured path hands work to a thread that already exists.
-fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 #[test]
 fn starting_a_thread_allocates_on_the_caller() {

@@ -1,12 +1,13 @@
 //! Shared execution-layer configuration for the workspace.
 //!
-//! Every stage that can fan work out over threads — the segmentation
-//! pipeline (per-frame stages), the GA engine (per-genome fitness) —
-//! takes its thread count from one [`Parallelism`] value that flows
-//! top-down: CLI `--threads` → `AnalyzerConfig` → `PipelineConfig` /
-//! `TrackerConfig` → `GaConfig.threads`. Centralising the knob keeps
-//! "how parallel is this run" a single decision instead of four
-//! hardcoded integers.
+//! Every stage that can fan work out over threads — the GA engine
+//! (per-genome fitness), the session manager (session steps), the
+//! eval matrix (cells) — takes its thread count from one
+//! [`Parallelism`] value. In an analysis it flows top-down: CLI
+//! `--threads` → `AnalyzerConfig` → `TrackerConfig` →
+//! `GaConfig.threads`; segmentation always runs its frames in order on
+//! one thread. Centralising the knob keeps "how parallel is this run"
+//! a single decision instead of hardcoded integers.
 //!
 //! Parallelism is a *throughput* setting, never a *semantics* setting:
 //! every parallel code path in the workspace is required (and tested)
@@ -60,11 +61,6 @@ impl Parallelism {
             Parallelism::Fixed(n) => (*n).max(1),
             Parallelism::Auto => available_threads(),
         }
-    }
-
-    /// Whether the resolved count is a single thread.
-    pub fn is_serial(&self) -> bool {
-        self.threads() == 1
     }
 }
 
@@ -122,9 +118,6 @@ mod tests {
         assert_eq!(Parallelism::Fixed(0).threads(), 1);
         assert_eq!(Parallelism::Fixed(1).threads(), 1);
         assert_eq!(Parallelism::Fixed(4).threads(), 4);
-        assert!(Parallelism::Serial.is_serial());
-        assert!(Parallelism::Fixed(1).is_serial());
-        assert!(!Parallelism::Fixed(2).is_serial());
     }
 
     #[test]

@@ -16,8 +16,7 @@ use crate::segmenter::{FrameSegmenter, PreparedBackground};
 use crate::shadow::ShadowParams;
 use serde::{Deserialize, Serialize};
 use slj_imgproc::mask::Mask;
-use slj_runtime::Parallelism;
-use slj_video::{Frame, Video};
+use slj_video::Video;
 use std::sync::Arc;
 
 /// Optional spatial smoothing applied to every frame before Step 1
@@ -87,13 +86,6 @@ pub struct PipelineConfig {
     pub shadow: Option<ShadowParams>,
     /// Step 6 (extension): per-frame silhouette health thresholds.
     pub quality: QualityConfig,
-    /// Worker threads for the per-frame stages (subtraction → cleanup →
-    /// shadow). The background estimate is shared and ghost detection
-    /// compares against the previous *input* frame, so frames are
-    /// independent once Step 1 has run — the fan-out is exact, not
-    /// approximate, and output order is frame order regardless of
-    /// thread count.
-    pub parallelism: Parallelism,
 }
 
 impl Default for PipelineConfig {
@@ -108,7 +100,6 @@ impl Default for PipelineConfig {
             holes: HoleFillMode::FloodFill,
             shadow: Some(ShadowParams::default()),
             quality: QualityConfig::default(),
-            parallelism: Parallelism::Serial,
         }
     }
 }
@@ -180,8 +171,8 @@ impl FrameStages {
 
     /// The frame's segmentation span: the pixel population after every
     /// stage, read straight from the stage masks. A pure function of
-    /// the masks, so the observation is identical at every
-    /// `Parallelism` setting by construction.
+    /// the masks, so batch and streaming runs observe identically by
+    /// construction.
     pub fn observe(&self) -> slj_obs::SegmentObs {
         slj_obs::SegmentObs {
             raw_px: self.raw.count() as u64,
@@ -237,14 +228,10 @@ impl SegmentPipeline {
         &self.config
     }
 
-    /// Runs all five steps over a clip.
-    ///
-    /// When [`PipelineConfig::parallelism`] resolves to more than one
-    /// thread, the per-frame stages fan out over scoped threads in
-    /// contiguous frame chunks. Frame k only ever reads the shared
-    /// background estimate and input frames k and k−1, so the parallel
-    /// result is bit-identical to the serial one (tested). A panicking
-    /// worker panics the caller once every worker has joined.
+    /// Runs all five steps over a clip: presmoothing (when configured),
+    /// one background estimate, then every frame in order through one
+    /// [`FrameSegmenter`] — the engine the streaming analyzer drives
+    /// frame by frame.
     ///
     /// # Errors
     ///
@@ -263,72 +250,15 @@ impl SegmentPipeline {
         };
         let background = BackgroundEstimator::new(self.config.background).estimate(video)?;
         let prepared = Arc::new(PreparedBackground::new(&background.image));
-        self.run_prepared(video, background, prepared)
-    }
-
-    /// Runs the per-frame stages (Steps 2–5) over a clip whose Step-1
-    /// background has already been estimated and prepared.
-    ///
-    /// This is the entry point for callers that amortise the background
-    /// work across several runs of the same scene — the perf bench and
-    /// repeated re-analysis share one [`EstimatedBackground`] and one
-    /// HSV-converted [`PreparedBackground`] per configuration instead
-    /// of re-deriving both on every run. `video` must already be
-    /// presmoothed according to [`PipelineConfig::presmooth`] ([`run`]
-    /// takes care of that; with the default `Presmooth::None` the raw
-    /// clip is correct as-is).
-    ///
-    /// [`run`]: SegmentPipeline::run
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SegmentError`] from the per-frame stages; the
-    /// too-few-frames validation lives in background estimation, so
-    /// this entry point accepts any clip the caller has a background
-    /// for.
-    pub fn run_prepared(
-        &self,
-        video: &Video,
-        background: EstimatedBackground,
-        prepared: Arc<PreparedBackground>,
-    ) -> Result<SegmentationResult, SegmentError> {
-        let inputs = video.frames();
-        let threads = self.config.parallelism.threads().min(inputs.len());
-        let frames = if threads <= 1 {
-            let mut segmenter = FrameSegmenter::new(&self.config, prepared);
-            let mut frames = Vec::with_capacity(inputs.len());
-            for (k, frame) in inputs.iter().enumerate() {
-                frames.push(segmenter.segment(frame, previous_input(inputs, k))?);
-            }
-            frames
-        } else {
-            // Each worker owns one contiguous chunk of the output and a
-            // private `FrameSegmenter` (its scratch arena is reused for
-            // every frame of the chunk); the shared prepared background
-            // is read-only. Write targets are disjoint and results land
-            // in frame order, so only throughput depends on the thread
-            // count.
-            let mut slots: Vec<Option<Result<FrameStages, SegmentError>>> = Vec::new();
-            slots.resize_with(inputs.len(), || None);
-            let chunk = inputs.len().div_ceil(threads);
-            let config = &self.config;
-            std::thread::scope(|scope| {
-                for (ci, out) in slots.chunks_mut(chunk).enumerate() {
-                    let prepared = Arc::clone(&prepared);
-                    scope.spawn(move || {
-                        let mut segmenter = FrameSegmenter::new(config, prepared);
-                        for (i, slot) in out.iter_mut().enumerate() {
-                            let k = ci * chunk + i;
-                            *slot = Some(segmenter.segment(&inputs[k], previous_input(inputs, k)));
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|s| s.expect("every frame processed"))
-                .collect::<Result<Vec<_>, _>>()?
-        };
+        let mut segmenter = FrameSegmenter::new(&self.config, prepared);
+        let mut frames = Vec::with_capacity(video.len());
+        // Ghost suppression compares each frame with the previous
+        // *input* frame, never with the previous output.
+        let mut previous = None;
+        for frame in video.iter() {
+            frames.push(segmenter.segment(frame, previous)?);
+            previous = Some(frame);
+        }
 
         let final_masks: Vec<_> = frames.iter().map(|s| &s.final_mask).collect();
         let quality = quality::assess_masks(&final_masks, &self.config.quality);
@@ -338,13 +268,6 @@ impl SegmentPipeline {
             quality,
         })
     }
-}
-
-/// The previous *input* frame — what ghost detection compares motion
-/// against. Depending only on the immutable input (never on the
-/// previous frame's output) is what makes frames independent.
-fn previous_input(inputs: &[Frame], k: usize) -> Option<&Frame> {
-    k.checked_sub(1).map(|p| &inputs[p])
 }
 
 #[cfg(test)]
@@ -529,39 +452,6 @@ mod tests {
         assert!(PipelineConfig::robust().ghosts.is_some());
         assert!(PipelineConfig::default().ghosts.is_none());
         assert!(PipelineConfig::paper().ghosts.is_none());
-    }
-
-    #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        // Ghost suppression on: it is the only stage with a cross-frame
-        // input, so it is the one a botched parallelisation would break.
-        let j = short_jump(&SceneConfig::default(), 11);
-        let base = PipelineConfig::robust();
-        let serial = SegmentPipeline::new(base.clone()).run(&j.video).unwrap();
-        for parallelism in [
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(4),
-            Parallelism::Fixed(64),
-        ] {
-            let parallel = SegmentPipeline::new(PipelineConfig {
-                parallelism,
-                ..base.clone()
-            })
-            .run(&j.video)
-            .unwrap();
-            assert_eq!(
-                parallel.frames, serial.frames,
-                "parallelism = {parallelism}"
-            );
-            assert_eq!(
-                parallel.quality, serial.quality,
-                "parallelism = {parallelism}"
-            );
-            assert_eq!(
-                parallel.background.image.as_slice(),
-                serial.background.image.as_slice()
-            );
-        }
     }
 
     #[test]

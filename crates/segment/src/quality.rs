@@ -19,8 +19,8 @@
 //!   image border. Camera jitter pushes the jumper off-frame, and a
 //!   body cut by the frame edge loses limbs the stick model needs.
 //!
-//! [`assess_clip`] scores a whole [`SegmentationResult`]'s final masks
-//! and flags each frame healthy or not against a [`QualityConfig`].
+//! [`assess_masks`] scores a clip's final masks and flags each frame
+//! healthy or not against a [`QualityConfig`].
 
 use serde::{Deserialize, Serialize};
 use slj_imgproc::components::Labeling;
@@ -271,15 +271,6 @@ pub fn assess_masks(masks: &[&Mask], config: &QualityConfig) -> Vec<FrameQuality
                 .collect()
         }
     }
-}
-
-/// Assesses a whole segmentation result's final masks.
-pub fn assess_clip(
-    result: &crate::pipeline::SegmentationResult,
-    config: &QualityConfig,
-) -> Vec<FrameQuality> {
-    let masks: Vec<&Mask> = result.frames.iter().map(|s| &s.final_mask).collect();
-    assess_masks(&masks, config)
 }
 
 #[cfg(test)]

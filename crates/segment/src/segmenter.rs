@@ -11,12 +11,13 @@
 //!   plane, converted **once** and recomputed only when the background
 //!   image actually changes (the Eq. 1 shadow test needs the
 //!   background's HSV for every foreground pixel of every frame).
-//!   Shared read-only across worker threads via [`Arc`].
+//!   Held behind an [`Arc`] so a streaming checkpoint, which clones
+//!   the segmenter, shares the planes instead of copying them.
 //! * [`FrameArena`] — every scratch buffer a frame needs (union-find
 //!   labelling, flood-fill planes, predicate masks, per-component
 //!   counters), pre-reserved to worst case and reused frame after
 //!   frame.
-//! * [`FrameSegmenter`] — one worker's segmentation state. After the
+//! * [`FrameSegmenter`] — one clip's segmentation state. After the
 //!   first frame has warmed the arena,
 //!   [`segment_into`](FrameSegmenter::segment_into) into a reused
 //!   [`FrameStages`] performs **zero heap allocations** (asserted by a
@@ -26,9 +27,9 @@
 //! pass over the frame: a pixel crossing the subtraction threshold has
 //! its HSV computed immediately and Eq. 1 evaluated against the cached
 //! background HSV, so the shadow stage later reduces to word-parallel
-//! set algebra plus a sparse lazy pass over hole-filled pixels. The
-//! output of every stage is bit-identical to the original stage
-//! operators (property- and pipeline-tested).
+//! set algebra plus a sparse lazy pass over hole-filled pixels. Every
+//! stage's output is bit-identical to the unfused stage operators
+//! composed in order (`tests/composed_stages.rs`).
 
 use crate::cleanup::HoleFillMode;
 use crate::error::SegmentError;
@@ -106,7 +107,7 @@ impl PreparedBackground {
     }
 }
 
-/// Reusable per-worker scratch buffers.
+/// Reusable per-segmenter scratch buffers.
 ///
 /// Everything a frame's stages need beyond the output [`FrameStages`]:
 /// reused across frames so the steady state allocates nothing. Sized by
@@ -172,7 +173,7 @@ impl FrameArena {
     }
 }
 
-/// One worker's segmentation state: the stage parameters, the shared
+/// One clip's segmentation state: the stage parameters, the shared
 /// prepared background, and a private scratch arena.
 ///
 /// [`segment_into`](FrameSegmenter::segment_into) runs subtraction →
@@ -189,9 +190,9 @@ pub struct FrameSegmenter {
 }
 
 impl Clone for FrameArena {
-    /// Cloning a segmenter (to hand one to each worker thread) starts
-    /// the clone with a fresh arena: scratch state is per-worker by
-    /// design and carries no information between frames.
+    /// Cloning a segmenter (a streaming checkpoint does) starts the
+    /// clone with a fresh arena: scratch state carries no information
+    /// between frames, so a checkpoint need not copy it.
     fn clone(&self) -> Self {
         FrameArena::default()
     }

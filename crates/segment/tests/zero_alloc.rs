@@ -8,9 +8,14 @@
 //! frame — for both hole-fill kernels and with ghost suppression and
 //! shadow removal enabled.
 //!
-//! The counter is per thread, so tests running side by side cannot
-//! pollute each other's counts.
+//! The counter, shared with the other allocation suites
+//! (`tests/support/counting_alloc.rs`), is read per thread here, so
+//! tests running side by side cannot pollute each other's counts.
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations_during;
 use slj_motion::JumpConfig;
 use slj_segment::background::{
     BackgroundConfig, BackgroundEstimator, BackgroundScratch, EstimatedBackground, UpdateMode,
@@ -18,59 +23,7 @@ use slj_segment::background::{
 use slj_segment::pipeline::{FrameStages, PipelineConfig};
 use slj_segment::segmenter::{FrameSegmenter, PreparedBackground};
 use slj_video::{SceneConfig, SyntheticJump};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
-
-/// System allocator plus a per-thread allocation counter.
-struct CountingAllocator;
-
-thread_local! {
-    // `const`-initialised and free of `Drop`: no lazy set-up and no
-    // destructor, so counting never allocates and never re-enters the
-    // allocator.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-// SAFETY: defers to the system allocator; the counter is a side effect.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-/// Runs `f` and returns the allocations it made on this thread. That
-/// is all of them when `f` runs on this thread alone, which a zero
-/// count itself proves: starting a thread allocates on the starting
-/// thread (`starting_a_thread_allocates_on_the_caller`), and no
-/// measured path hands work to a thread that already exists.
-fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = ALLOCATIONS.with(Cell::get);
-    let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
-}
 
 #[test]
 fn starting_a_thread_allocates_on_the_caller() {

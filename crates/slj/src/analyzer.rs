@@ -44,12 +44,11 @@ pub struct AnalyzerConfig {
     /// How per-frame evidence (silhouette issues, recovery rungs) is
     /// condensed into the [`FrameHealth`] confidence score.
     pub confidence: ConfidenceModel,
-    /// Worker threads for both parallelisable phases: segmentation's
-    /// per-frame stages and the GA's per-genome fitness evaluation.
-    /// Authoritative — it overwrites `segmentation.parallelism` and
-    /// `tracker.parallelism` when the analysis runs, so one knob
-    /// controls the whole run. Parallel runs are bit-identical to
-    /// serial ones (tested).
+    /// Worker threads for the GA's per-genome fitness evaluation, the
+    /// one phase of an analysis that fans out (segmentation runs its
+    /// frames in order on one thread). Authoritative — it overwrites
+    /// `tracker.parallelism` when the analysis runs. Parallel runs are
+    /// bit-identical to serial ones (tested).
     pub parallelism: Parallelism,
 }
 
@@ -427,18 +426,11 @@ impl JumpAnalyzer {
         camera: &Camera,
         first_pose: Pose,
     ) -> Result<AnalysisReport, AnalyzeError> {
-        // The analyzer-level parallelism knob is authoritative: push it
-        // down into both phases so `--threads` means the same thing
-        // everywhere.
-        let segmentation_config = PipelineConfig {
-            parallelism: self.config.parallelism,
-            ..self.config.segmentation.clone()
-        };
         let tracker_config = TrackerConfig {
             parallelism: self.config.parallelism,
             ..self.config.tracker
         };
-        let segmentation = SegmentPipeline::new(segmentation_config).run(video)?;
+        let segmentation = SegmentPipeline::new(self.config.segmentation.clone()).run(video)?;
         let silhouettes: Vec<Mask> = segmentation
             .frames
             .iter()
@@ -450,11 +442,6 @@ impl JumpAnalyzer {
             &self.config.dims,
             camera,
         )?;
-        let mut poses = tracking.to_pose_seq(video.fps());
-        if self.config.smoothing_window > 1 {
-            poses = poses.median_smoothed(self.config.smoothing_window);
-        }
-
         let health: Vec<FrameHealth> = segmentation
             .quality
             .iter()
@@ -462,33 +449,76 @@ impl JumpAnalyzer {
             .enumerate()
             .map(|(k, (q, t))| FrameHealth::with_model(k, q.clone(), t, &self.config.confidence))
             .collect();
-        enforce_robustness(&health, self.config.robustness)?;
-        let score = score_with_policy(&poses, &health, self.config.robustness)?;
-        let obs = crate::obs::clip_obs(
-            segmentation.frames.iter().map(|s| s.observe()).collect(),
-            &tracking.frames,
-            &poses,
-            &crate::obs::excluded_frames(&health, self.config.robustness),
-            &score,
-        );
-        let measurement = measure_jump(&poses, &self.config.dims).ok();
+        let obs_frames = segmentation
+            .frames
+            .iter()
+            .zip(&tracking.frames)
+            .enumerate()
+            .map(|(k, (stages, track))| crate::obs::frame_obs(k, stages, track))
+            .collect();
+        let tail = analysis_tail(
+            &self.config,
+            tracking.to_pose_seq(video.fps()),
+            &health,
+            obs_frames,
+        )?;
         Ok(AnalysisReport {
             segmentation,
             tracking: tracking.frames,
-            poses,
-            score,
+            poses: tail.poses,
+            score: tail.score,
             health,
-            obs,
-            measurement,
+            obs: tail.obs,
+            measurement: tail.measurement,
         })
     }
 }
 
+/// The smoothed poses and what [`analysis_tail`] derives from them.
+pub(crate) struct AnalysisTail {
+    pub poses: PoseSeq,
+    pub score: ScoreCard,
+    pub obs: slj_obs::ClipObs,
+    pub measurement: Option<JumpMeasurement>,
+}
+
+/// The end of every analysis, shared by [`JumpAnalyzer::analyze`] and
+/// [`crate::stream::StreamingAnalyzer::finish`] so both reject, score
+/// and measure a clip identically: temporal smoothing, the
+/// degraded-frame budget, R1–R7 scoring (best-effort runs exclude the
+/// degraded frames from the window extrema), the per-rule spans, and
+/// the jump measurement.
+pub(crate) fn analysis_tail(
+    config: &AnalyzerConfig,
+    mut poses: PoseSeq,
+    health: &[FrameHealth],
+    obs_frames: Vec<slj_obs::FrameObs>,
+) -> Result<AnalysisTail, AnalyzeError> {
+    if config.smoothing_window > 1 {
+        poses = poses.median_smoothed(config.smoothing_window);
+    }
+    enforce_robustness(health, config.robustness)?;
+    let excluded = crate::obs::excluded_frames(health, config.robustness);
+    let score = match config.robustness {
+        RobustnessPolicy::Strict => score_jump(&poses)?,
+        RobustnessPolicy::BestEffort { .. } => score_jump_masked(&poses, &excluded)?,
+    };
+    let obs = slj_obs::ClipObs {
+        frames: obs_frames,
+        rules: crate::obs::rule_obs(&poses, &excluded, &score),
+    };
+    let measurement = measure_jump(&poses, &config.dims).ok();
+    Ok(AnalysisTail {
+        poses,
+        score,
+        obs,
+        measurement,
+    })
+}
+
 /// Applies the degraded-frame budget of `robustness` to a finished
-/// health timeline, shared verbatim by [`JumpAnalyzer::analyze`] and
-/// [`crate::stream::StreamingAnalyzer::finish`] so both paths reject
-/// (or accept) a clip identically.
-pub(crate) fn enforce_robustness(
+/// health timeline.
+fn enforce_robustness(
     health: &[FrameHealth],
     robustness: RobustnessPolicy,
 ) -> Result<(), AnalyzeError> {
@@ -510,23 +540,6 @@ pub(crate) fn enforce_robustness(
         });
     }
     Ok(())
-}
-
-/// Scores a (smoothed) pose sequence under `robustness` — strict runs
-/// score every frame; best-effort excludes degraded frames from the
-/// R1–R7 window extrema. Shared by the batch and streaming paths.
-pub(crate) fn score_with_policy(
-    poses: &PoseSeq,
-    health: &[FrameHealth],
-    robustness: RobustnessPolicy,
-) -> Result<ScoreCard, AnalyzeError> {
-    Ok(match robustness {
-        RobustnessPolicy::Strict => score_jump(poses)?,
-        RobustnessPolicy::BestEffort { .. } => {
-            let excluded = crate::obs::excluded_frames(health, robustness);
-            score_jump_masked(poses, &excluded)?
-        }
-    })
 }
 
 /// Human-readable account of why a frame is degraded, for error

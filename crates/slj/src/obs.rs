@@ -4,18 +4,18 @@
 //! Everything here is a pure function of analysis *results* — stage
 //! masks, GA accounting, rule verdicts — so the batch and streaming
 //! paths produce bit-identical span data for the same clip and
-//! configuration, at every `Parallelism` setting. The batch path calls
-//! [`clip_obs`] once over the retained per-frame state;
-//! the streaming path builds the same [`FrameObs`] records
-//! incrementally (one per [`push_frame`](crate::StreamingAnalyzer::push_frame))
-//! and attaches the rule spans at
-//! [`finish`](crate::StreamingAnalyzer::finish).
+//! configuration, at every `Parallelism` setting. Both build one
+//! [`FrameObs`] per frame with [`frame_obs`] (batch over the retained
+//! stage masks, streaming on each
+//! [`push_frame`](crate::StreamingAnalyzer::push_frame)), and the
+//! shared analysis tail attaches the rule spans.
 
 use crate::analyzer::FrameHealth;
 use slj_ga::tracker::{RecoveryAction, TrackResult};
 use slj_motion::{seq::Stage, PoseSeq};
-use slj_obs::{ClipObs, FrameObs, RuleObs, SegmentObs, TrackObs};
+use slj_obs::{FrameObs, RuleObs, TrackObs};
 use slj_score::{ScoreCard, Verdict};
+use slj_segment::pipeline::FrameStages;
 
 /// The stable trace token for a recovery rung (schema `slj-trace/1`).
 pub(crate) fn recovery_token(recovery: RecoveryAction) -> &'static str {
@@ -45,9 +45,19 @@ fn verdict_token(verdict: Verdict) -> &'static str {
     }
 }
 
+/// One frame's span record: its segmentation stage populations and
+/// its GA tracking accounting.
+pub(crate) fn frame_obs(frame: usize, stages: &FrameStages, track: &TrackResult) -> FrameObs {
+    FrameObs {
+        frame: frame as u64,
+        segment: stages.observe(),
+        track: track_obs(track),
+    }
+}
+
 /// One frame's GA tracking span, derived from the tracker's
 /// thread-invariant accounting.
-pub(crate) fn track_obs(t: &TrackResult) -> TrackObs {
+fn track_obs(t: &TrackResult) -> TrackObs {
     let evaluations = t.evaluations as u64;
     let unique_genomes = t.unique_genomes as u64;
     TrackObs {
@@ -96,8 +106,7 @@ pub(crate) fn rule_obs(poses: &PoseSeq, excluded: &[bool], score: &ScoreCard) ->
 }
 
 /// Frames the robustness policy excluded from scoring (all-false under
-/// `Strict`, the degraded frames under `BestEffort`) — the same mask
-/// [`score_with_policy`](crate::analyzer) applies.
+/// `Strict`, the degraded frames under `BestEffort`).
 pub(crate) fn excluded_frames(
     health: &[FrameHealth],
     robustness: crate::RobustnessPolicy,
@@ -107,32 +116,6 @@ pub(crate) fn excluded_frames(
         crate::RobustnessPolicy::BestEffort { .. } => {
             health.iter().map(FrameHealth::is_degraded).collect()
         }
-    }
-}
-
-/// Assembles the whole clip's span data from per-frame segmentation and
-/// tracking spans plus the finished score (batch path; the streaming
-/// path builds the frame list incrementally and reuses [`rule_obs`]).
-pub(crate) fn clip_obs(
-    segments: Vec<SegmentObs>,
-    tracking: &[TrackResult],
-    poses: &PoseSeq,
-    excluded: &[bool],
-    score: &ScoreCard,
-) -> ClipObs {
-    let frames = segments
-        .into_iter()
-        .zip(tracking)
-        .enumerate()
-        .map(|(k, (segment, t))| FrameObs {
-            frame: k as u64,
-            segment,
-            track: track_obs(t),
-        })
-        .collect();
-    ClipObs {
-        frames,
-        rules: rule_obs(poses, excluded, score),
     }
 }
 

@@ -20,14 +20,16 @@
 //! dependencies — background estimation and quality references — to
 //! causal windows that [`JumpAnalyzer::analyze`](crate::JumpAnalyzer)
 //! honours identically, the segmentation engine is the same
-//! [`FrameSegmenter`] the batch pipeline runs, and tracking/scoring go
-//! through the very functions the batch path calls
+//! [`FrameSegmenter`] the batch pipeline runs, tracking goes through
+//! the very functions the batch path calls
 //! ([`TrackerStream`](slj_ga::tracker::TrackerStream) is the loop body
-//! of `track`). The `streaming_determinism` integration test asserts
+//! of `track`), and `finish` ends in the same smoothing, robustness,
+//! scoring and measurement function as batch. The
+//! `streaming_determinism` integration test asserts
 //! equality field-by-field on clean and fault-injected clips at every
 //! `Parallelism` setting.
 
-use crate::analyzer::{enforce_robustness, score_with_policy, AnalyzerConfig, FrameHealth};
+use crate::analyzer::{analysis_tail, AnalyzerConfig, FrameHealth};
 use crate::error::AnalyzeError;
 use slj_ga::tracker::{TemporalTracker, TrackResult, TrackScratch, TrackerConfig, TrackerStream};
 use slj_imgproc::components::Labeling;
@@ -35,7 +37,7 @@ use slj_imgproc::image::ImageBuffer;
 use slj_motion::{Pose, PoseSeq};
 use slj_score::ScoreCard;
 use slj_segment::background::{BackgroundEstimator, BackgroundScratch, EstimatedBackground};
-use slj_segment::pipeline::{FrameStages, PipelineConfig};
+use slj_segment::pipeline::FrameStages;
 use slj_segment::quality::{causal_reference_area, FrameQuality, ReferenceMode};
 use slj_segment::segmenter::{FrameArena, FrameSegmenter, PreparedBackground};
 use slj_video::{Camera, Frame, Video};
@@ -250,7 +252,6 @@ struct LiveState {
 /// configuration streamable.
 #[derive(Debug, Clone)]
 pub struct StreamingAnalyzer {
-    segmentation: PipelineConfig,
     config: AnalyzerConfig,
     camera: Camera,
     first_pose: Pose,
@@ -311,16 +312,7 @@ impl StreamingAnalyzer {
                     .to_owned(),
             });
         }
-        // As in batch: the analyzer-level parallelism knob is
-        // authoritative for every phase. Frames arrive one at a time,
-        // so here it parallelises the GA's per-genome fitness
-        // evaluation (bit-identical at any thread count, tested).
-        let segmentation = PipelineConfig {
-            parallelism: config.parallelism,
-            ..config.segmentation.clone()
-        };
         Ok(StreamingAnalyzer {
-            segmentation,
             camera: *camera,
             first_pose,
             fps,
@@ -417,7 +409,10 @@ impl StreamingAnalyzer {
         }
         let observed_from = self.live.as_ref().map_or(0, |l| l.obs_frames.len());
         let mut smoothed = self.scratch.take_frame();
-        self.segmentation.presmooth.apply_into(frame, &mut smoothed);
+        self.config
+            .segmentation
+            .presmooth
+            .apply_into(frame, &mut smoothed);
         let completed = if self.live.is_some() {
             vec![self.process(smoothed)?]
         } else {
@@ -511,26 +506,20 @@ impl StreamingAnalyzer {
             labeling,
             previous_input,
         );
-        let mut poses = PoseSeq::new(poses, self.fps);
-        if self.config.smoothing_window > 1 {
-            poses = poses.median_smoothed(self.config.smoothing_window);
-        }
-        enforce_robustness(&health, self.config.robustness)?;
-        let score = score_with_policy(&poses, &health, self.config.robustness)?;
-        let excluded = crate::obs::excluded_frames(&health, self.config.robustness);
-        let obs = slj_obs::ClipObs {
-            frames: obs_frames,
-            rules: crate::obs::rule_obs(&poses, &excluded, &score),
-        };
-        let measurement = crate::measure::measure_jump(&poses, &self.config.dims).ok();
+        let tail = analysis_tail(
+            &self.config,
+            PoseSeq::new(poses, self.fps),
+            &health,
+            obs_frames,
+        )?;
         Ok(JumpAnalysis {
-            poses,
-            score,
+            poses: tail.poses,
+            score: tail.score,
             tracking,
             health,
             quality,
-            obs,
-            measurement,
+            obs: tail.obs,
+            measurement: tail.measurement,
         })
     }
 
@@ -579,7 +568,7 @@ impl StreamingAnalyzer {
                 image: Frame::new(0, 0),
                 support: ImageBuffer::new(0, 0),
             });
-        BackgroundEstimator::new(self.segmentation.background).estimate_into(
+        BackgroundEstimator::new(self.config.segmentation.background).estimate_into(
             &video,
             &mut background,
             &mut self.scratch.estimator,
@@ -592,7 +581,7 @@ impl StreamingAnalyzer {
             None => Arc::new(PreparedBackground::new(&background.image)),
         };
         let segmenter = FrameSegmenter::new_with_arena(
-            &self.segmentation,
+            &self.config.segmentation,
             prepared,
             std::mem::take(&mut self.scratch.arena),
         );
@@ -637,18 +626,15 @@ impl StreamingAnalyzer {
         let quality = FrameQuality::measure_with(
             final_mask,
             reference,
-            &self.segmentation.quality,
+            &self.config.segmentation.quality,
             &mut live.labeling,
         );
         let track = live.tracker.push(final_mask)?;
         let health = FrameHealth::with_model(k, quality.clone(), &track, &self.config.confidence);
         // The stage buffer is reused by the next frame: take its span
         // data now, while the masks are still this frame's.
-        live.obs_frames.push(slj_obs::FrameObs {
-            frame: k as u64,
-            segment: live.stages.observe(),
-            track: crate::obs::track_obs(&track),
-        });
+        live.obs_frames
+            .push(crate::obs::frame_obs(k, &live.stages, &track));
         live.poses.push(track.pose);
         live.tracking.push(track);
         live.quality.push(quality);

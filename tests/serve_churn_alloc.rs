@@ -8,108 +8,20 @@
 //! bookkeeping (result vectors, map nodes, event payloads) is allowed
 //! and bounded, while anything frame-sized or bigger must be recycled.
 //!
-//! Like `serve_overload.rs`, the counting `#[global_allocator]` is
-//! process-global, so this file is its own test binary with a single
-//! `#[test]`.
+//! Like `serve_overload.rs`, it reads the process-wide tally of the
+//! shared counting `#[global_allocator]`
+//! (`tests/support/counting_alloc.rs`), so this file is its own test
+//! binary with a single `#[test]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{large_allocations, recent_large_sizes, LARGE};
 use slj::prelude::*;
 use slj_ga::{GaConfig, PoseProblemConfig};
 use slj_serve::{
     DeadlineClock, HealthEvent, OfferReply, ServeConfig, SessionConfig, SessionManager,
 };
-
-/// Allocations at or above this many bytes count as "large" — the
-/// frame-buffer / arena / scratch tier the slot pool exists to recycle.
-/// The smallest full-frame plane at the test's 160x120 resolution is a
-/// u8 plane (19 200 B); per-clip *result* vectors (poses, tracking,
-/// quality — storage that leaves the session inside the returned
-/// `JumpAnalysis` and so cannot be recycled) stay below ~8 KiB at this
-/// clip length, so 16 KiB cleanly splits the two tiers.
-const LARGE: usize = 16 * 1024;
-
-/// System allocator plus a global count of large allocations.
-struct CountingAllocator;
-
-static LARGE_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-/// Ring of the most recent large-allocation sizes, for the failure
-/// message (fixed-size: the allocator must not allocate).
-static RECENT_SIZES: [AtomicUsize; 16] = [const { AtomicUsize::new(0) }; 16];
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// How many large allocations may still print a backtrace (set from
-/// `CHURN_TRACE` once steady state begins; symbolisation is slow, so
-/// the budget stays small).
-static TRACE_BUDGET: AtomicUsize = AtomicUsize::new(0);
-
-fn note_large(size: usize) {
-    let n = LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    RECENT_SIZES[n % RECENT_SIZES.len()].store(size, Ordering::Relaxed);
-    if TRACE_BUDGET
-        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
-            left.checked_sub(1)
-        })
-        .is_ok()
-    {
-        std::thread_local! {
-            static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-        }
-        IN_TRACE.with(|flag| {
-            if !flag.get() {
-                flag.set(true);
-                eprintln!(
-                    "LARGE ALLOC {size}:\n{}",
-                    std::backtrace::Backtrace::force_capture()
-                );
-                flag.set(false);
-            }
-        });
-    }
-}
-
-// SAFETY: defers to the system allocator; the counter is a side effect.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if layout.size() >= LARGE {
-            note_large(layout.size());
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if layout.size() >= LARGE {
-            note_large(layout.size());
-        }
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size >= LARGE {
-            note_large(new_size);
-        }
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-fn large_allocations() -> usize {
-    LARGE_ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-fn recent_sizes() -> Vec<usize> {
-    RECENT_SIZES
-        .iter()
-        .map(|s| s.load(Ordering::Relaxed))
-        .filter(|&s| s != 0)
-        .collect()
-}
 
 /// A deliberately tiny analyzer budget: the test measures allocation,
 /// not estimation quality, so the GA runs a small population for a few
@@ -199,9 +111,6 @@ fn session_churn_steady_state_does_no_large_allocations() {
 
     // Steady state: every subsequent lifecycle adopts the recycled
     // slot and must never allocate at the frame-buffer tier again.
-    if std::env::var_os("CHURN_TRACE").is_some() {
-        TRACE_BUDGET.store(4, Ordering::Relaxed);
-    }
     let before = large_allocations();
     for cycle in 0..CYCLES {
         run_cycle(&mut manager, &session, &jump.video, &mut events);
@@ -211,7 +120,7 @@ fn session_churn_steady_state_does_no_large_allocations() {
             0,
             "cycle {cycle}: {delta} large (>= {LARGE} B) allocations in steady-state churn; \
              recent sizes {:?}",
-            recent_sizes()
+            recent_large_sizes()
         );
     }
     assert_eq!(manager.pooled_slots(), 1);

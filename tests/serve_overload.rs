@@ -3,49 +3,17 @@
 //! at `queue_depth` no matter how hard a producer bursts.
 //!
 //! This is the service-layer twin of `crates/segment/tests/zero_alloc.rs`
-//! and borrows its counting `#[global_allocator]`. The allocator is
-//! process-global, so this file is its own test binary with a single
-//! `#[test]` — concurrent test threads would pollute the counter.
+//! and shares its counting `#[global_allocator]`
+//! (`tests/support/counting_alloc.rs`). It reads the process-wide
+//! count, so this file is its own test binary with a single `#[test]`
+//! — concurrent test threads would pollute the counter.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use slj::prelude::*;
 use slj_serve::{DeadlineClock, OfferReply, ServeConfig, SessionConfig, SessionManager};
-
-/// System allocator plus a global allocation counter.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-// SAFETY: defers to the system allocator; the counter is a side effect.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn full_queue_sheds_bursts_without_allocating() {

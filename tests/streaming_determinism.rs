@@ -7,6 +7,8 @@
 
 use slj::prelude::*;
 use slj::JumpAnalysis;
+use slj_segment::ghosts::GhostConfig;
+use slj_segment::pipeline::Presmooth;
 
 fn streamable_fast() -> AnalyzerConfig {
     // The 14-frame warmup background ghosts the subject's standing
@@ -70,6 +72,29 @@ fn clean_clip_streaming_matches_batch() {
     let batch = batch_analysis(&config, &jump.video, &scene.camera, first);
     let streamed = stream_analysis(&config, &jump.video, &scene.camera, first);
     assert_eq!(batch, streamed, "clean clip: streaming != batch");
+
+    // Presmoothing: batch smooths the whole clip before estimating the
+    // background, streaming smooths each frame as it arrives. On the
+    // noisy scene, with ghost suppression off and on.
+    let scene = SceneConfig {
+        camera: Camera::compact(),
+        ..SceneConfig::default()
+    };
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 84);
+    let first = jump.poses.poses()[0];
+    for presmooth in [Presmooth::Box { radius: 1 }, Presmooth::Median] {
+        for ghosts in [None, Some(GhostConfig::default())] {
+            let mut config = streamable_fast();
+            config.segmentation.presmooth = presmooth;
+            config.segmentation.ghosts = ghosts;
+            let batch = batch_analysis(&config, &jump.video, &scene.camera, first);
+            let streamed = stream_analysis(&config, &jump.video, &scene.camera, first);
+            assert_eq!(
+                batch, streamed,
+                "{presmooth:?}, ghosts {ghosts:?}: streaming != batch"
+            );
+        }
+    }
 }
 
 #[test]
