@@ -8,7 +8,7 @@
 //! `EVENT` lines are collected as they arrive, whatever the client is
 //! waiting for.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -18,7 +18,9 @@ use slj_video::Frame;
 use crate::addr::Addr;
 use crate::engine::OpenRequest;
 use crate::server::Stream;
-use crate::wire::{encode_to_vec, AckStatus, Decoder, WireError, WireMsg, WIRE_SCHEMA};
+use crate::wire::{
+    encode_open_clip_head, encode_to_vec, AckStatus, Decoder, WireError, WireMsg, WIRE_SCHEMA,
+};
 
 /// Client-side failures, each naming what the caller can do about it.
 #[derive(Debug)]
@@ -382,7 +384,7 @@ impl Client {
     pub fn analyze_clip_ppm(
         &mut self,
         request: &OpenRequest,
-        ppm: Vec<u8>,
+        ppm: impl AsRef<[u8]>,
     ) -> Result<RemoteAnalysis, ClientError> {
         let session = self.open_clip(request, ppm)?;
         self.await_result(session)
@@ -394,14 +396,26 @@ impl Client {
     /// (the HTTP gateway) acknowledge admission immediately while the
     /// analysis runs.
     ///
+    /// The clip is written where it lies: the message head and `ppm` go
+    /// out in one vectored write, with no copy of the clip. One write,
+    /// not two, so a TCP connection never holds the clip back behind
+    /// Nagle's algorithm waiting for the head's delayed ACK.
+    ///
     /// # Errors
     ///
     /// [`ClientError::Rejected`] when the daemon refuses (draining,
     /// full, or a clip that does not decode), plus the transport
     /// errors.
-    pub fn open_clip(&mut self, request: &OpenRequest, ppm: Vec<u8>) -> Result<u64, ClientError> {
+    pub fn open_clip(
+        &mut self,
+        request: &OpenRequest,
+        ppm: impl AsRef<[u8]>,
+    ) -> Result<u64, ClientError> {
+        let ppm = ppm.as_ref();
         let config_json = serde_json::to_string(request).expect("open request serialises");
-        self.send(&WireMsg::OpenClip { config_json, ppm })?;
+        let mut head = Vec::new();
+        encode_open_clip_head(&config_json, ppm.len(), &mut head)?;
+        write_all_vectored(&mut self.stream, [IoSlice::new(&head), IoSlice::new(ppm)])?;
         self.recv_until(|msg| match msg {
             WireMsg::Opened { session } => Ok(Some(session)),
             WireMsg::Rejected { reason } => Err(ClientError::Rejected { reason }),
@@ -508,6 +522,25 @@ impl Client {
     pub fn is_server_error(err: &ClientError, code: u16) -> bool {
         matches!(err, ClientError::Server { code: c, .. } if *c == code)
     }
+}
+
+/// Writes every byte of `bufs`, in order, with as few `writev` calls as
+/// the socket allows.
+fn write_all_vectored<const N: usize>(
+    w: &mut impl Write,
+    mut bufs: [IoSlice<'_>; N],
+) -> std::io::Result<()> {
+    let mut bufs = &mut bufs[..];
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Convenience for operators: dial, drain, hang up.

@@ -17,6 +17,12 @@
 //! progressed any session it takes only the requests already queued
 //! and ticks again at once. Only a tick that moved nothing waits for
 //! the next request, up to the `tick_wait_ms` heartbeat.
+//!
+//! Nor does it decode clips. A connection's reader decodes an
+//! `OPEN_CLIP`'s PPM frames straight off the socket and sends the
+//! engine the open request with the decoded frames, or the typed
+//! decode error, so the one thread that ticks every session never
+//! spends a tick's worth of time on one upload.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -26,6 +32,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use slj::{AnalyzerConfig, RobustnessPolicy};
+use slj_imgproc::ImgError;
 use slj_motion::{BodyDims, Pose};
 use slj_serve::{
     render_event, EventKind, HealthEvent, OfferReply, ServeConfig, ServeError, SessionConfig,
@@ -249,8 +256,14 @@ impl Default for DaemonConfig {
 pub(crate) enum Request {
     /// A connection came up; `writer` is its reply channel.
     Connect { conn: u64, writer: SyncSender<Out> },
-    /// A decoded message from the client.
+    /// A decoded message from the client (never an `OPEN_CLIP`).
     Msg { conn: u64, msg: WireMsg },
+    /// An `OPEN_CLIP`, its clip already decoded by the reader.
+    Clip {
+        conn: u64,
+        config_json: String,
+        frames: Result<Vec<Frame>, ImgError>,
+    },
     /// The client's byte stream broke framing (fatal for the conn).
     BadWire { conn: u64, err: WireError },
     /// The connection sat idle past the reaping deadline.
@@ -476,6 +489,15 @@ impl Engine {
                 self.conns.push(ConnState::new(conn, writer));
             }
             Request::Msg { conn, msg } => self.handle_msg(conn, msg),
+            Request::Clip {
+                conn,
+                config_json,
+                frames,
+            } => {
+                if self.accepts_work(conn, "OPEN_CLIP") {
+                    self.handle_open_clip(conn, &config_json, frames);
+                }
+            }
             Request::BadWire { conn, err } => {
                 let code = match err {
                     WireError::Oversized { .. } => codes::OVERSIZED,
@@ -507,47 +529,36 @@ impl Engine {
         }
     }
 
-    fn handle_msg(&mut self, conn: u64, msg: WireMsg) {
-        let helloed = match self.conn_mut(conn) {
-            Some(state) if state.doomed => return,
-            Some(state) => state.helloed,
-            None => return,
-        };
-        match msg {
-            WireMsg::Hello { proto } => {
-                if proto == WIRE_SCHEMA {
-                    if let Some(state) = self.conn_mut(conn) {
-                        state.helloed = true;
-                    }
-                    self.must_deliver(
-                        conn,
-                        WireMsg::HelloOk {
-                            proto: WIRE_SCHEMA.to_owned(),
-                        },
-                    );
-                } else {
-                    self.teardown(
-                        conn,
-                        Some(WireMsg::Error {
-                            code: codes::VERSION_MISMATCH,
-                            message: format!("server speaks {WIRE_SCHEMA}, client sent {proto}"),
-                        }),
-                    );
-                }
-            }
-            _ if !helloed => {
+    /// Whether `conn` may send work: it must be live and past HELLO. A
+    /// doomed or unknown connection is ignored; one that skipped HELLO
+    /// is torn down with `BAD_STATE`.
+    fn accepts_work(&mut self, conn: u64, what: &str) -> bool {
+        match self.conn_mut(conn) {
+            Some(state) if state.doomed => false,
+            Some(state) if state.helloed => true,
+            Some(_) => {
                 self.teardown(
                     conn,
                     Some(WireMsg::Error {
                         code: codes::BAD_STATE,
-                        message: format!("{} before HELLO", msg.name()),
+                        message: format!("{what} before HELLO"),
                     }),
                 );
+                false
             }
+            None => false,
+        }
+    }
+
+    fn handle_msg(&mut self, conn: u64, msg: WireMsg) {
+        if let WireMsg::Hello { proto } = msg {
+            return self.handle_hello(conn, proto);
+        }
+        if !self.accepts_work(conn, msg.name()) {
+            return;
+        }
+        match msg {
             WireMsg::Open { config_json } => self.handle_open(conn, &config_json),
-            WireMsg::OpenClip { config_json, ppm } => {
-                self.handle_open_clip(conn, &config_json, &ppm)
-            }
             WireMsg::Frame {
                 session,
                 width,
@@ -618,6 +629,32 @@ impl Engine {
         }
     }
 
+    fn handle_hello(&mut self, conn: u64, proto: String) {
+        match self.conn_mut(conn) {
+            Some(state) if !state.doomed => {}
+            _ => return,
+        }
+        if proto == WIRE_SCHEMA {
+            if let Some(state) = self.conn_mut(conn) {
+                state.helloed = true;
+            }
+            self.must_deliver(
+                conn,
+                WireMsg::HelloOk {
+                    proto: WIRE_SCHEMA.to_owned(),
+                },
+            );
+        } else {
+            self.teardown(
+                conn,
+                Some(WireMsg::Error {
+                    code: codes::VERSION_MISMATCH,
+                    message: format!("server speaks {WIRE_SCHEMA}, client sent {proto}"),
+                }),
+            );
+        }
+    }
+
     fn owned_session(&self, conn: u64, session: u64) -> Option<slj_serve::SessionId> {
         self.sessions
             .iter()
@@ -642,16 +679,22 @@ impl Engine {
         self.admit(conn, request, VecDeque::new());
     }
 
-    /// `OPEN_CLIP`: parse the request and decode the whole clip
-    /// *before* admitting a session — a malformed clip is `Rejected`
-    /// without ever costing a slot — then let [`Engine::feed_clips`]
-    /// stream the decoded frames into the manager at the pace its
-    /// backpressure allows.
-    fn handle_open_clip(&mut self, conn: u64, config_json: &str, ppm: &[u8]) {
+    /// `OPEN_CLIP`, with the clip already decoded on the connection's
+    /// reader thread. Refusals keep their order — the open request,
+    /// then the clip, then capacity — so a malformed clip is `Rejected`
+    /// without ever costing a slot. An admitted session's frames are
+    /// streamed into the manager by [`Engine::feed_clips`] at the pace
+    /// its backpressure allows.
+    fn handle_open_clip(
+        &mut self,
+        conn: u64,
+        config_json: &str,
+        frames: Result<Vec<Frame>, ImgError>,
+    ) {
         let Some(request) = self.parse_open(conn, config_json) else {
             return;
         };
-        let frames = match slj_video::io::frames_from_ppm_stream(ppm) {
+        let frames = match frames {
             Ok(frames) => frames,
             Err(e) => {
                 return self.must_deliver(

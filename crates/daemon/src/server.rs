@@ -13,7 +13,7 @@
 //! buffering. Writers are joined before [`DaemonHandle::join`] returns,
 //! so a drained daemon has written every connection's last reply.
 
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, IoSlice, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -26,7 +26,8 @@ use std::time::Duration;
 
 use crate::addr::Addr;
 use crate::engine::{DaemonConfig, DaemonStats, Engine, Out, Request};
-use crate::wire::Decoder;
+use crate::wire::{Decoder, Part};
+use slj_video::io::PpmStreamDecoder;
 
 /// How long an acceptor backs off after a failed `accept` (`EMFILE`
 /// and friends persist until some connection closes; retrying at once
@@ -108,6 +109,13 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
         }
     }
 
@@ -496,60 +504,117 @@ fn spawn_connection(
     Ok(Some(writer))
 }
 
+/// Why a reader stopped reading.
+enum ReadEnd {
+    /// EOF or a socket error: the client is gone.
+    Gone,
+    /// The connection sat idle past the reaping deadline.
+    Idle,
+}
+
+/// One connection's socket, read under the idle-reaping rule: a read
+/// that times out `idle_timeouts` times in a row (0 disables reaping)
+/// ends the connection.
+struct ConnReader {
+    stream: Stream,
+    idle_timeouts: u32,
+    quiet_polls: u32,
+}
+
+impl ConnReader {
+    /// Reads at least one byte into `buf`.
+    fn read(&mut self, buf: &mut [u8]) -> Result<usize, ReadEnd> {
+        loop {
+            match self.stream.read(buf) {
+                Ok(0) => return Err(ReadEnd::Gone),
+                Ok(n) => {
+                    self.quiet_polls = 0;
+                    return Ok(n);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    self.quiet_polls = self.quiet_polls.saturating_add(1);
+                    if self.idle_timeouts > 0 && self.quiet_polls >= self.idle_timeouts {
+                        return Err(ReadEnd::Idle);
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return Err(ReadEnd::Gone),
+            }
+        }
+    }
+}
+
 /// Socket → decoder → request channel. A send into the bounded channel
 /// blocks when the engine is saturated; the socket keeps its unread
 /// bytes and the peer stalls — backpressure, not buffering.
+///
+/// An `OPEN_CLIP` is never buffered whole: once its open request is in,
+/// the clip is decoded straight off the socket by a
+/// [`PpmStreamDecoder`] that reads exactly the frame's remaining bytes,
+/// and the engine gets the decoded frames (or the decode error).
 fn reader_loop(
     conn: u64,
-    mut stream: Stream,
+    stream: Stream,
     requests: &SyncSender<Request>,
     idle_timeouts: u32,
     max_frame: usize,
 ) {
+    let mut reader = ConnReader {
+        stream,
+        idle_timeouts,
+        quiet_polls: 0,
+    };
     let mut decoder = Decoder::new(max_frame);
     let mut chunk = [0u8; 64 * 1024];
-    let mut quiet_polls: u32 = 0;
     loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                let _ = requests.send(Request::Gone { conn });
-                return;
-            }
-            Ok(n) => {
-                quiet_polls = 0;
-                decoder.push(&chunk[..n]);
-                loop {
-                    match decoder.next_msg() {
-                        Ok(Some(msg)) => {
-                            if requests.send(Request::Msg { conn, msg }).is_err() {
-                                return; // engine gone
-                            }
-                        }
-                        Ok(None) => break,
-                        Err(err) => {
-                            // Framing is lost for good: report and stop
-                            // reading. The engine replies with a typed
-                            // ERROR and closes via the writer.
-                            let _ = requests.send(Request::BadWire { conn, err });
-                            return;
-                        }
+        let request = match decoder.next_part() {
+            Ok(Some(Part::Msg(msg))) => Request::Msg { conn, msg },
+            Ok(Some(Part::ClipHead {
+                config_json,
+                clip_len,
+            })) => {
+                let mut clip = PpmStreamDecoder::new(clip_len);
+                clip.push(decoder.take_buffered(clip_len));
+                while clip.remaining() > 0 {
+                    let want = clip.remaining().min(chunk.len());
+                    match reader.read(&mut chunk[..want]) {
+                        Ok(n) => clip.push(&chunk[..n]),
+                        Err(end) => return end_connection(conn, requests, end),
                     }
                 }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                quiet_polls = quiet_polls.saturating_add(1);
-                if idle_timeouts > 0 && quiet_polls >= idle_timeouts {
-                    let _ = requests.send(Request::Idle { conn });
-                    return;
+                Request::Clip {
+                    conn,
+                    config_json,
+                    frames: clip.finish(),
                 }
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                let _ = requests.send(Request::Gone { conn });
+            Ok(None) => match reader.read(&mut chunk) {
+                Ok(n) => {
+                    decoder.push(&chunk[..n]);
+                    continue;
+                }
+                Err(end) => return end_connection(conn, requests, end),
+            },
+            Err(err) => {
+                // Framing is lost for good: report and stop reading.
+                // The engine replies with a typed ERROR and closes via
+                // the writer.
+                let _ = requests.send(Request::BadWire { conn, err });
                 return;
             }
+        };
+        if requests.send(request).is_err() {
+            return; // engine gone
         }
     }
+}
+
+/// Tells the engine why a reader stopped.
+fn end_connection(conn: u64, requests: &SyncSender<Request>, end: ReadEnd) {
+    let _ = requests.send(match end {
+        ReadEnd::Gone => Request::Gone { conn },
+        ReadEnd::Idle => Request::Idle { conn },
+    });
 }
 
 /// Reply channel → encoder → socket. Exits on `Close`, channel

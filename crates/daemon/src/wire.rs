@@ -23,6 +23,10 @@ use std::fmt;
 /// Protocol identifier carried in HELLO / HELLO_OK.
 pub const WIRE_SCHEMA: &str = "slj-wire/1";
 
+/// The `OPEN_CLIP` tag: the one message whose body a receiver may
+/// stream instead of buffering ([`Decoder::next_part`]).
+const OPEN_CLIP_TAG: u8 = 0x11;
+
 /// Default bound on one wire frame's body (tag + payload). Generous
 /// enough for a 1080p RGB video frame (~6.2 MiB) plus headers.
 pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
@@ -174,6 +178,12 @@ pub enum WireMsg {
     /// followed by the terminal `Analysis`/`Failed`. This is the
     /// ingestion path the HTTP gateway uses: clients ship the clip
     /// format, never raw RGB.
+    ///
+    /// The clip runs to the end of the body, so neither side needs it
+    /// whole: a sender can write [`encode_open_clip_head`] and then
+    /// clip bytes it already holds, and the daemon's reader takes the
+    /// header with [`Decoder::next_part`] and decodes the PPM frames
+    /// straight off the socket.
     OpenClip {
         /// Serialized open request (same JSON as `Open`). The open
         /// request's `fps` governs; per-frame timing is implicit.
@@ -203,7 +213,7 @@ impl WireMsg {
             WireMsg::Drain => 0x0E,
             WireMsg::Draining { .. } => 0x0F,
             WireMsg::Bye => 0x10,
-            WireMsg::OpenClip { .. } => 0x11,
+            WireMsg::OpenClip { .. } => OPEN_CLIP_TAG,
         }
     }
 
@@ -364,6 +374,32 @@ pub fn encode(msg: &WireMsg, out: &mut Vec<u8>) {
     out[start..start + 4].copy_from_slice(&body_len.to_be_bytes());
 }
 
+/// Appends the head of an `OPEN_CLIP` frame for a clip of `clip_len`
+/// bytes: the length prefix, the tag and the open request. Those bytes
+/// followed by the clip are exactly [`encode`] of the whole
+/// [`WireMsg::OpenClip`], so a sender can forward a clip it already
+/// holds without copying it into a message.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] when the body would not fit the 4-byte
+/// length prefix.
+pub fn encode_open_clip_head(
+    config_json: &str,
+    clip_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), WireError> {
+    let body_len = 1 + 4 + config_json.len() + clip_len;
+    let prefix = u32::try_from(body_len).map_err(|_| WireError::Oversized {
+        declared: body_len,
+        max: u32::MAX as usize,
+    })?;
+    put_u32(out, prefix);
+    out.push(OPEN_CLIP_TAG);
+    put_str(out, config_json);
+    Ok(())
+}
+
 /// Encodes into a fresh buffer (tests and one-shot paths).
 pub fn encode_to_vec(msg: &WireMsg) -> Vec<u8> {
     let mut out = Vec::new();
@@ -501,7 +537,7 @@ pub fn decode_body(body: &[u8]) -> Result<WireMsg, WireError> {
             in_flight: c.u64()?,
         },
         0x10 => WireMsg::Bye,
-        0x11 => {
+        OPEN_CLIP_TAG => {
             let config_json = c.string()?;
             let rest = c.bytes.len() - c.pos;
             let ppm = c.take(rest)?.to_vec();
@@ -550,17 +586,10 @@ impl Decoder {
         self.buf.len() - self.pos
     }
 
-    /// The next complete message, `Ok(None)` when more bytes are
-    /// needed.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Oversized`] as soon as a length prefix declares a
-    /// body beyond the bound; [`WireError::Malformed`] for bodies that
-    /// do not parse. Both are fatal.
-    pub fn next_msg(&mut self) -> Result<Option<WireMsg>, WireError> {
-        let available = self.buf.len() - self.pos;
-        if available < 4 {
+    /// The next frame's declared body length, once its 4-byte prefix is
+    /// buffered.
+    fn declared(&self) -> Result<Option<usize>, WireError> {
+        if self.buffered() < 4 {
             return Ok(None);
         }
         let declared =
@@ -571,7 +600,22 @@ impl Decoder {
                 max: self.max_frame,
             });
         }
-        if available < 4 + declared {
+        Ok(Some(declared))
+    }
+
+    /// The next complete message, `Ok(None)` when more bytes are
+    /// needed.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Oversized`] as soon as a length prefix declares a
+    /// body beyond the bound; [`WireError::Malformed`] for bodies that
+    /// do not parse. Both are fatal.
+    pub fn next_msg(&mut self) -> Result<Option<WireMsg>, WireError> {
+        let Some(declared) = self.declared()? else {
+            return Ok(None);
+        };
+        if self.buffered() < 4 + declared {
             return Ok(None);
         }
         let body = &self.buf[self.pos + 4..self.pos + 4 + declared];
@@ -579,6 +623,76 @@ impl Decoder {
         self.pos += 4 + declared;
         Ok(Some(msg))
     }
+
+    /// Like [`next_msg`](Decoder::next_msg), except that an `OPEN_CLIP`
+    /// comes back as [`Part::ClipHead`] as soon as its open request is
+    /// buffered, with the clip not buffered at all. The caller then
+    /// owes the clip's `clip_len` bytes to its own decoder: first
+    /// [`take_buffered`](Decoder::take_buffered)`(clip_len)`, then the
+    /// rest read straight from the transport. Bounds and errors are
+    /// those of `next_msg`, checked by the same code.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_msg`](Decoder::next_msg).
+    pub fn next_part(&mut self) -> Result<Option<Part>, WireError> {
+        let Some(declared) = self.declared()? else {
+            return Ok(None);
+        };
+        let body = &self.buf[self.pos + 4..];
+        if body.first() != Some(&OPEN_CLIP_TAG) {
+            return Ok(self.next_msg()?.map(Part::Msg));
+        }
+        // The head is the tag, the string length and the open request;
+        // a string length past the body is cut at the body, where the
+        // cursor reports it exactly as `decode_body` does.
+        if body.len() < 5.min(declared) {
+            return Ok(None);
+        }
+        let json_len = match body.get(1..5) {
+            Some(len) => u32::from_be_bytes(len.try_into().unwrap()) as usize,
+            None => 0,
+        };
+        let head_len = (5 + json_len).min(declared);
+        if body.len() < head_len {
+            return Ok(None);
+        }
+        let mut c = Cursor {
+            bytes: &body[..head_len],
+            pos: 0,
+        };
+        c.u8()?;
+        let config_json = c.string()?;
+        self.pos += 4 + head_len;
+        Ok(Some(Part::ClipHead {
+            config_json,
+            clip_len: declared - head_len,
+        }))
+    }
+
+    /// Consumes and returns up to `max` buffered bytes: the start of a
+    /// clip announced by [`Part::ClipHead`].
+    pub fn take_buffered(&mut self, max: usize) -> &[u8] {
+        let n = self.buffered().min(max);
+        let start = self.pos;
+        self.pos += n;
+        &self.buf[start..start + n]
+    }
+}
+
+/// What [`Decoder::next_part`] yields.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Part {
+    /// A complete message (never an `OPEN_CLIP`).
+    Msg(WireMsg),
+    /// The head of an `OPEN_CLIP`: its open request, and the length of
+    /// the PPM clip that follows to the end of the body.
+    ClipHead {
+        /// Serialized open request.
+        config_json: String,
+        /// Bytes of clip after the head.
+        clip_len: usize,
+    },
 }
 
 #[cfg(test)]

@@ -542,7 +542,7 @@ fn clip_ingestion_matches_streamed_and_inprocess_runs() {
     // A clip that does not decode is Rejected before any session is
     // opened: no slot is consumed and the connection stays usable.
     let mut client = Client::connect(&tcp, ClientOptions::default()).unwrap();
-    match client.open_clip(&request, b"P6\n9999 9999\n255\nxy".to_vec()) {
+    match client.open_clip(&request, b"P6\n9999 9999\n255\nxy") {
         Err(ClientError::Rejected { reason }) => {
             assert!(
                 reason.contains("clip does not decode"),
@@ -835,4 +835,123 @@ fn a_wire_drain_reply_is_written_before_join_returns() {
         assert_eq!(replies[rejected + 1], WireMsg::Draining { in_flight: 0 });
         assert!(!socket.exists(), "drain removed the socket file");
     }
+}
+
+/// Reads replies off a raw connection until it closes and returns the
+/// code of the typed `ERROR` it ended with.
+fn closing_error_code(raw: &mut TcpStream) -> Option<u16> {
+    let mut decoder = Decoder::new(DEFAULT_MAX_FRAME);
+    let mut buf = [0u8; 4096];
+    let mut code = None;
+    loop {
+        match raw.read(&mut buf) {
+            Ok(0) | Err(_) => return code,
+            Ok(n) => {
+                decoder.push(&buf[..n]);
+                while let Ok(Some(msg)) = decoder.next_msg() {
+                    if let WireMsg::Error { code: c, .. } = msg {
+                        code = Some(c);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_streamed_clip_keeps_every_edge_check() {
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 89);
+    let request = open_request(&jump, &scene, false);
+    let (ref_summary, _) = reference(&jump, &request);
+    let config_json = serde_json::to_string(&request).unwrap();
+    let ppm = slj_video::io::ppm_stream(&jump.video);
+    let open_clip = slj_daemon::wire::encode_to_vec(&WireMsg::OpenClip {
+        config_json: config_json.clone(),
+        ppm: ppm.clone(),
+    });
+    let hello = slj_daemon::wire::encode_to_vec(&WireMsg::Hello {
+        proto: WIRE_SCHEMA.to_owned(),
+    });
+
+    let mut config = daemon_config();
+    config.idle_timeouts = 20;
+    let handle = Daemon::start(&[Addr::Tcp("127.0.0.1:0".to_owned())], config).unwrap();
+    let addr = handle.addrs[0].clone();
+    let Addr::Tcp(hostport) = addr.clone() else {
+        unreachable!()
+    };
+
+    // A clip torn into pieces that split the open request, a PPM header
+    // and a pixel, with pauses between them, decodes as one.
+    let mut client = Client::connect(&addr, ClientOptions::default()).unwrap();
+    let frame_bytes = ppm.len() / jump.video.len();
+    let head = open_clip.len() - ppm.len();
+    for cut in [
+        (0, head / 2),
+        (head / 2, head + 5),
+        (head + 5, head + frame_bytes + 17),
+        (head + frame_bytes + 17, open_clip.len()),
+    ] {
+        client.send_raw(&open_clip[cut.0..cut.1]).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let WireMsg::Opened { session } = client.recv_raw().unwrap() else {
+        panic!("a torn clip must still be admitted")
+    };
+    assert_eq!(
+        client.await_result(session).unwrap().summary_json,
+        ref_summary
+    );
+
+    // A clip broken at frame 5 is refused by name, and the connection
+    // keeps its framing: the same client then runs a good clip.
+    let mut broken = ppm.clone();
+    broken[5 * frame_bytes] = b'Q';
+    match client.open_clip(&request, &broken) {
+        Err(ClientError::Rejected { reason }) => assert!(
+            reason.contains("clip does not decode") && reason.contains("clip frame 5"),
+            "{reason}"
+        ),
+        other => panic!("a broken clip must be Rejected, got {other:?}"),
+    }
+    let retry = client.analyze_clip_ppm(&request, &ppm).unwrap();
+    assert_eq!(retry.summary_json, ref_summary);
+    drop(client);
+
+    // OPEN_CLIP before HELLO is a state error, clip and all.
+    let mut raw = TcpStream::connect(hostport.as_str()).unwrap();
+    raw.write_all(&open_clip).unwrap();
+    assert_eq!(
+        closing_error_code(&mut raw),
+        Some(slj_daemon::wire::codes::BAD_STATE)
+    );
+
+    // A length prefix over the bound is refused at the prefix, before
+    // any of the clip exists.
+    let mut raw = TcpStream::connect(hostport.as_str()).unwrap();
+    raw.write_all(&hello).unwrap();
+    raw.write_all(&((DEFAULT_MAX_FRAME + 1) as u32).to_be_bytes())
+        .unwrap();
+    raw.write_all(&open_clip[4..5]).unwrap();
+    assert_eq!(
+        closing_error_code(&mut raw),
+        Some(slj_daemon::wire::codes::OVERSIZED)
+    );
+
+    // An upload that stalls inside its clip is reaped by the idle rule.
+    let mut raw = TcpStream::connect(hostport.as_str()).unwrap();
+    raw.write_all(&hello).unwrap();
+    raw.write_all(&open_clip[..head + frame_bytes / 2]).unwrap();
+    assert_eq!(
+        closing_error_code(&mut raw),
+        Some(slj_daemon::wire::codes::IDLE)
+    );
+
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!(stats.sessions_opened, 2, "refused clips opened nothing");
+    assert_eq!(stats.clip_sessions, 2);
+    assert_eq!(stats.sessions_finished, 2);
+    assert_eq!(stats.conns_torn_down, 3);
 }

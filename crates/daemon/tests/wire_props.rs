@@ -6,10 +6,13 @@
 //! torn length prefixes and mid-frame boundaries); oversized frames
 //! are rejected at the 4-byte prefix *before* any body is buffered;
 //! and truncated or corrupted input never panics — it is either
-//! "wait for more bytes" or a typed [`WireError`].
+//! "wait for more bytes" or a typed [`WireError`]. The streaming
+//! receive path ([`Decoder::next_part`], which hands an `OPEN_CLIP`'s
+//! clip to the caller instead of buffering it) yields the same
+//! messages under the same splits.
 
 use proptest::prelude::*;
-use slj_daemon::wire::{decode_body, encode_to_vec, Decoder};
+use slj_daemon::wire::{decode_body, encode_open_clip_head, encode_to_vec, Decoder, Part};
 use slj_daemon::{AckStatus, WireError, WireMsg, DEFAULT_MAX_FRAME};
 
 /// Arbitrary-ish strings, including multi-byte UTF-8 (the lossy
@@ -138,6 +141,98 @@ proptest! {
         prop_assert_eq!(decoded, msgs);
         prop_assert_eq!(d.next_msg().unwrap(), None);
         prop_assert_eq!(d.buffered(), 0, "a fully-consumed stream leaves no residue");
+    }
+
+    #[test]
+    fn streamed_open_clips_match_the_buffered_decode(
+        msgs in proptest::collection::vec(msg_strategy(), 1..5),
+        chunk_sizes in proptest::collection::vec(1usize..23, 1..40),
+    ) {
+        let mut stream = Vec::new();
+        for msg in &msgs {
+            let bytes = encode_to_vec(msg);
+            // A sender may write the head and then the clip it holds.
+            if let WireMsg::OpenClip { config_json, ppm } = msg {
+                let mut head = Vec::new();
+                encode_open_clip_head(config_json, ppm.len(), &mut head).unwrap();
+                head.extend_from_slice(ppm);
+                prop_assert_eq!(&head, &bytes);
+            }
+            stream.extend_from_slice(&bytes);
+        }
+        // Receive as the daemon's reader does: an OPEN_CLIP's clip is
+        // taken from the decoder's buffer, then from the stream itself,
+        // never pushed into the decoder.
+        let mut d = Decoder::new(DEFAULT_MAX_FRAME);
+        let mut rebuilt = Vec::new();
+        let mut owed: Option<(String, usize, Vec<u8>)> = None;
+        let mut offset = 0;
+        let mut k = 0;
+        while offset < stream.len() {
+            let size = chunk_sizes[k % chunk_sizes.len()].min(stream.len() - offset);
+            k += 1;
+            let mut piece = &stream[offset..offset + size];
+            offset += size;
+            if let Some((config_json, len, mut clip)) = owed.take() {
+                let take = (len - clip.len()).min(piece.len());
+                clip.extend_from_slice(&piece[..take]);
+                piece = &piece[take..];
+                if clip.len() == len {
+                    rebuilt.push(WireMsg::OpenClip { config_json, ppm: clip });
+                } else {
+                    owed = Some((config_json, len, clip));
+                }
+            }
+            d.push(piece);
+            while owed.is_none() {
+                match d.next_part().unwrap() {
+                    Some(Part::Msg(msg)) => rebuilt.push(msg),
+                    Some(Part::ClipHead { config_json, clip_len }) => {
+                        let clip = d.take_buffered(clip_len).to_vec();
+                        if clip.len() == clip_len {
+                            rebuilt.push(WireMsg::OpenClip { config_json, ppm: clip });
+                        } else {
+                            owed = Some((config_json, clip_len, clip));
+                        }
+                    }
+                    None => break,
+                }
+            }
+        }
+        prop_assert!(owed.is_none());
+        prop_assert_eq!(rebuilt, msgs);
+        prop_assert_eq!(d.buffered(), 0);
+    }
+
+    #[test]
+    fn streamed_and_buffered_receives_refuse_the_same_frames(
+        msg in msg_strategy(),
+        flip in any::<(u64, u8)>(),
+    ) {
+        let mut bytes = encode_to_vec(&msg);
+        let at = (flip.0 as usize) % bytes.len();
+        bytes[at] ^= flip.1 | 1;
+        let mut buffered = Decoder::new(DEFAULT_MAX_FRAME);
+        buffered.push(&bytes);
+        let mut streamed = Decoder::new(DEFAULT_MAX_FRAME);
+        streamed.push(&bytes);
+        match (buffered.next_msg(), streamed.next_part()) {
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (Ok(Some(a)), Ok(Some(Part::Msg(b)))) => prop_assert_eq!(a, b),
+            (
+                Ok(Some(WireMsg::OpenClip { config_json, ppm })),
+                Ok(Some(Part::ClipHead { config_json: head_json, clip_len })),
+            ) => {
+                prop_assert_eq!(config_json, head_json);
+                prop_assert_eq!(streamed.take_buffered(clip_len), &ppm[..]);
+            }
+            (Ok(None), Ok(None)) => {}
+            // A streamed head needs only itself; the buffered decode
+            // waits for a whole body that a corrupted prefix declared
+            // longer than what was sent.
+            (Ok(None), Ok(Some(Part::ClipHead { .. }))) => {}
+            (a, b) => prop_assert!(false, "buffered {:?} but streamed {:?}", a, b),
+        }
     }
 
     #[test]

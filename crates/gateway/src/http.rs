@@ -93,6 +93,11 @@ fn io_kind(e: &io::Error) -> HttpError {
 
 /// Reads one full request under the socket's deadlines and `limits`.
 ///
+/// Once the head passes (a known `Content-Length` within
+/// `limits.max_body`), a request carrying `Expect: 100-continue` is
+/// answered `100 Continue` before its body is read. The body is read
+/// straight into one buffer of exactly the declared length.
+///
 /// # Errors
 ///
 /// A typed [`HttpError`]; see each variant for the status it maps to.
@@ -165,17 +170,26 @@ pub fn read_request(stream: &mut Stream, limits: &Limits) -> Result<Request, Htt
             max: limits.max_body,
         });
     }
-    let mut body = buf.split_off(header_end + 4);
-    body.reserve(declared.saturating_sub(body.len()));
-    while body.len() < declared {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(HttpError::Disconnected),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(io_kind(&e)),
-        }
+    // A client that asked to be told (curl does, for large uploads)
+    // holds the body back until it hears the head has passed.
+    let expects_continue = headers
+        .iter()
+        .any(|(k, v)| k == "expect" && v.eq_ignore_ascii_case("100-continue"));
+    if expects_continue {
+        stream
+            .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
+            .map_err(|_| HttpError::Disconnected)?;
     }
-    body.truncate(declared); // drop any pipelined surplus; we close anyway
+    // One buffer of exactly the declared size, read into directly.
+    let mut body = Vec::with_capacity(declared);
+    let over_fetched = &buf[header_end + 4..];
+    body.extend_from_slice(&over_fetched[..over_fetched.len().min(declared)]);
+    let missing = (declared - body.len()) as u64;
+    match stream.take(missing).read_to_end(&mut body) {
+        Ok(_) if body.len() == declared => {}
+        Ok(_) => return Err(HttpError::Disconnected),
+        Err(e) => return Err(io_kind(&e)),
+    }
     Ok(Request {
         method,
         path,

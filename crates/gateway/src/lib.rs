@@ -7,9 +7,13 @@
 //!
 //! - `POST /v1/jobs` — body is one line of open-request JSON followed
 //!   by the clip as concatenated binary PPM frames (the on-disk clip
-//!   format's `frame_*.ppm` bytes laid end to end). The gateway
-//!   forwards it as one `OPEN_CLIP`; the daemon decodes and feeds the
-//!   frames itself. Replies `202` with a job id.
+//!   format's `frame_*.ppm` bytes laid end to end). The body is read
+//!   once, into one buffer of its declared length (after a
+//!   `100 Continue` when the client sent `Expect: 100-continue`), and
+//!   its clip is forwarded from that buffer as one `OPEN_CLIP`, head
+//!   and clip in one vectored write, never copied. The daemon decodes
+//!   the frames as they arrive and feeds them itself. Replies `202`
+//!   with a job id.
 //! - `GET /v1/jobs/{id}` — `202` while running, `200` with the report
 //!   JSON (byte-identical to `slj analyze --stream --report`), `502`
 //!   when the session failed.
@@ -376,7 +380,7 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
         })
         .and_then(|mut client| {
             client
-                .open_clip(&open, ppm.to_vec())
+                .open_clip(&open, ppm)
                 .map(|session| (client, session))
                 .map_err(|e| refusal(shared, e))
         });

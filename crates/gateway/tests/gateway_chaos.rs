@@ -442,6 +442,77 @@ fn gateway_job_table_cap_sheds_locally_without_dialing_the_daemon() {
     assert_eq!(stats.connections, 0, "local shed never dialed the daemon");
 }
 
+/// Reads from `sock` until the first blank line; returns the bytes.
+fn read_head(sock: &mut TcpStream) -> Vec<u8> {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        match sock.read(&mut byte).unwrap() {
+            0 => break,
+            _ => head.push(byte[0]),
+        }
+    }
+    head
+}
+
+#[test]
+fn expect_continue_is_answered_before_the_body_and_never_over_the_limit() {
+    let (handle, gateway, hostport) = start_pair("continue", GatewayConfig::default());
+    let scene = scene();
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 83);
+    let request = open_request(&jump, &scene, false);
+    let body = job_body(&request, &jump.video);
+
+    // The client sends the head alone and waits, as curl does for a
+    // large upload, until the interim response tells it to go on.
+    let mut sock = TcpStream::connect(&hostport).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let head = format!(
+        "POST /v1/jobs HTTP/1.1\r\nHost: gw\r\nExpect: 100-continue\r\n\
+         Content-Length: {}\r\n\r\n",
+        body.len()
+    );
+    sock.write_all(head.as_bytes()).unwrap();
+    assert_eq!(read_head(&mut sock), b"HTTP/1.1 100 Continue\r\n\r\n");
+    sock.write_all(&body).unwrap();
+    let mut raw = Vec::new();
+    sock.read_to_end(&mut raw).unwrap();
+    let response = parse_response(&raw);
+    assert_eq!(
+        response.status,
+        202,
+        "{}",
+        String::from_utf8_lossy(&response.body)
+    );
+
+    // Over the limit: the final 413 comes first, with no interim
+    // response before it and no body ever sent.
+    let mut sock = TcpStream::connect(&hostport).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let head = format!(
+        "POST /v1/jobs HTTP/1.1\r\nHost: gw\r\nExpect: 100-continue\r\n\
+         Content-Length: {}\r\n\r\n",
+        GatewayConfig::default().max_body + 1
+    );
+    sock.write_all(head.as_bytes()).unwrap();
+    let mut raw = Vec::new();
+    sock.read_to_end(&mut raw).unwrap();
+    assert!(
+        raw.starts_with(b"HTTP/1.1 413 "),
+        "{}",
+        String::from_utf8_lossy(&raw)
+    );
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(!raw.contains("100 Continue"), "an interim response: {raw}");
+
+    gateway.shutdown();
+    handle.drain();
+    let stats = handle.join();
+    assert_eq!(stats.sessions_opened, 1, "only the continued upload ran");
+}
+
 /// One open request per field class [`OpenRequest::validate`] guards,
 /// as JSON text with that field replaced by an out-of-range number.
 /// The number is written raw, so `1e999` arrives as infinity, which no

@@ -89,60 +89,135 @@ pub fn save_mask_pgm<P: AsRef<Path>>(mask: &Mask, path: P) -> Result<(), ImgErro
     write_mask_pgm(mask, std::io::BufWriter::new(f))
 }
 
-fn read_token<R: BufRead>(r: &mut R) -> Result<String, ImgError> {
-    let mut token = String::new();
-    let mut byte = [0u8; 1];
-    // Skip whitespace and comments.
-    loop {
-        if r.read(&mut byte)? == 0 {
-            return Err(ImgError::Decode("unexpected end of stream".into()));
-        }
-        match byte[0] {
-            b'#' => {
-                let mut line = String::new();
-                r.read_line(&mut line)?;
-            }
-            c if c.is_ascii_whitespace() => {}
-            c => {
-                token.push(c as char);
-                break;
-            }
-        }
-    }
-    loop {
-        if r.read(&mut byte)? == 0 {
-            break;
-        }
-        if byte[0].is_ascii_whitespace() {
-            break;
-        }
-        token.push(byte[0] as char);
-    }
-    Ok(token)
+/// Longest header token accepted: a `usize` has at most 20 decimal
+/// digits, so no valid field is longer.
+const MAX_TOKEN: usize = 20;
+
+/// An incremental parser for the header of one binary PNM image: the
+/// magic (`P5` or `P6`), width, height and a maxval of 255, separated
+/// by whitespace and `#` comments, ending with the one whitespace byte
+/// after the maxval. Bytes go in as they arrive, in pieces of any size,
+/// and the parser holds at most one token, so it never buffers: a token
+/// longer than any valid field is refused.
+///
+/// It is the one PNM header parser in the workspace. [`read_ppm`] and
+/// [`read_pgm`] run it over a buffered reader, and `slj-video`'s clip
+/// stream decoder runs it over a socket's bytes.
+#[derive(Debug, Clone)]
+pub struct HeaderParser {
+    magic: &'static str,
+    /// Fields completed so far: magic, width, height, maxval.
+    fields: usize,
+    dims: (usize, usize),
+    token: [u8; MAX_TOKEN],
+    token_len: usize,
+    in_comment: bool,
+    started: bool,
 }
 
-fn parse_header<R: BufRead>(r: &mut R, magic: &str) -> Result<(usize, usize), ImgError> {
-    let got = read_token(r)?;
-    if got != magic {
-        return Err(ImgError::Decode(format!(
-            "expected magic {magic}, got {got}"
-        )));
+impl HeaderParser {
+    /// A parser expecting `magic` (`"P5"` or `"P6"`).
+    pub fn new(magic: &'static str) -> Self {
+        HeaderParser {
+            magic,
+            fields: 0,
+            dims: (0, 0),
+            token: [0; MAX_TOKEN],
+            token_len: 0,
+            in_comment: false,
+            started: false,
+        }
     }
-    let w: usize = read_token(r)?
-        .parse()
-        .map_err(|e| ImgError::Decode(format!("bad width: {e}")))?;
-    let h: usize = read_token(r)?
-        .parse()
-        .map_err(|e| ImgError::Decode(format!("bad height: {e}")))?;
-    let maxval: usize = read_token(r)?
-        .parse()
-        .map_err(|e| ImgError::Decode(format!("bad maxval: {e}")))?;
-    if maxval != 255 {
-        return Err(ImgError::Decode(format!(
-            "only maxval 255 supported, got {maxval}"
-        )));
+
+    /// Whether any byte of the header has been consumed.
+    pub fn is_started(&self) -> bool {
+        self.started
     }
-    Ok((w, h))
+
+    /// Consumes header bytes from the front of `bytes`. Returns how
+    /// many it consumed and, once the header is complete,
+    /// `Some((width, height))`: the pixel data starts right after the
+    /// consumed bytes. Until then every byte is consumed and the result
+    /// is `None`.
+    ///
+    /// # Errors
+    ///
+    /// [`ImgError::Decode`] on a wrong magic, a width, height or maxval
+    /// that is not a number, a maxval other than 255, or an overlong
+    /// token.
+    pub fn feed(&mut self, bytes: &[u8]) -> Result<(usize, Option<(usize, usize)>), ImgError> {
+        if !bytes.is_empty() {
+            self.started = true;
+        }
+        for (i, &b) in bytes.iter().enumerate() {
+            if self.in_comment {
+                self.in_comment = b != b'\n';
+            } else if b.is_ascii_whitespace() {
+                if self.token_len > 0 {
+                    self.end_token()?;
+                    if self.fields == 4 {
+                        return Ok((i + 1, Some(self.dims)));
+                    }
+                }
+            } else if b == b'#' && self.token_len == 0 {
+                self.in_comment = true;
+            } else if self.token_len == MAX_TOKEN {
+                return Err(ImgError::Decode(format!(
+                    "header token longer than {MAX_TOKEN} bytes"
+                )));
+            } else {
+                self.token[self.token_len] = b;
+                self.token_len += 1;
+            }
+        }
+        Ok((bytes.len(), None))
+    }
+
+    fn end_token(&mut self) -> Result<(), ImgError> {
+        let token = String::from_utf8_lossy(&self.token[..self.token_len]).into_owned();
+        self.token_len = 0;
+        let number = |field: &str| {
+            token
+                .parse::<usize>()
+                .map_err(|e| ImgError::Decode(format!("bad {field}: {e}")))
+        };
+        match self.fields {
+            0 if token != self.magic => {
+                return Err(ImgError::Decode(format!(
+                    "expected magic {}, got {token}",
+                    self.magic
+                )))
+            }
+            0 => {}
+            1 => self.dims.0 = number("width")?,
+            2 => self.dims.1 = number("height")?,
+            _ => {
+                let maxval = number("maxval")?;
+                if maxval != 255 {
+                    return Err(ImgError::Decode(format!(
+                        "only maxval 255 supported, got {maxval}"
+                    )));
+                }
+            }
+        }
+        self.fields += 1;
+        Ok(())
+    }
+}
+
+fn parse_header<R: BufRead>(r: &mut R, magic: &'static str) -> Result<(usize, usize), ImgError> {
+    let mut parser = HeaderParser::new(magic);
+    loop {
+        let buf = r.fill_buf()?;
+        if buf.is_empty() {
+            return Err(ImgError::Decode("unexpected end of stream".into()));
+        }
+        let (used, dims) = parser.feed(buf)?;
+        r.consume(used);
+        if let Some(dims) = dims {
+            return Ok(dims);
+        }
+    }
 }
 
 /// Reads a binary PPM (P6) image.
@@ -252,6 +327,31 @@ mod tests {
     fn decode_rejects_unsupported_maxval() {
         let err = read_pgm(&b"P5\n2 1\n65535\n"[..]).unwrap_err();
         assert!(matches!(err, ImgError::Decode(_)));
+    }
+
+    #[test]
+    fn header_parser_gives_the_same_header_at_any_split() {
+        let header = b"P6\n# made by hand\n 12\t7 # trailing\n255\nRGB";
+        for split in 0..header.len() {
+            let mut parser = HeaderParser::new("P6");
+            let (used_a, dims_a) = parser.feed(&header[..split]).unwrap();
+            let (dims, used) = match dims_a {
+                Some(dims) => (dims, used_a),
+                None => {
+                    let (used_b, dims_b) = parser.feed(&header[split..]).unwrap();
+                    (dims_b.unwrap(), split + used_b)
+                }
+            };
+            assert_eq!(dims, (12, 7), "split at {split}");
+            assert_eq!(&header[used..], b"RGB", "split at {split}");
+        }
+    }
+
+    #[test]
+    fn header_parser_refuses_an_overlong_token_without_buffering_it() {
+        let mut parser = HeaderParser::new("P6");
+        let err = parser.feed(&[b'9'; 64]).unwrap_err();
+        assert!(err.to_string().contains("longer than"), "{err}");
     }
 
     #[test]

@@ -147,7 +147,10 @@ pub struct AnalyzerScratch {
     /// Median-stack scratch for background estimation.
     estimator: BackgroundScratch,
     /// Channel-split background planes, refreshed in place on reuse.
-    prepared: Option<PreparedBackground>,
+    /// Kept shared: a supervisor's checkpoint of the retired analyzer
+    /// may still hold it, and it is unwrapped only when the next clip
+    /// goes live, after that checkpoint is gone.
+    prepared: Option<Arc<PreparedBackground>>,
     /// The frame segmenter's per-frame scratch arena.
     arena: FrameArena,
     /// The reusable segmentation stage buffer.
@@ -195,9 +198,7 @@ impl AnalyzerScratch {
         }
     }
 
-    /// Reabsorbs a retired live state's heavy buffers. The prepared
-    /// background is recovered only when nothing else (a checkpoint)
-    /// still shares it.
+    /// Reabsorbs a retired live state's heavy buffers.
     fn absorb_live(
         &mut self,
         background: EstimatedBackground,
@@ -210,9 +211,7 @@ impl AnalyzerScratch {
         self.background = Some(background);
         let (prepared, arena) = segmenter.into_parts();
         self.arena = arena;
-        if let Ok(p) = Arc::try_unwrap(prepared) {
-            self.prepared = Some(p);
-        }
+        self.prepared = Some(prepared);
         self.stages = stages;
         self.track = tracker.reclaim_scratch();
         self.labeling = labeling;
@@ -573,12 +572,13 @@ impl StreamingAnalyzer {
             &mut background,
             &mut self.scratch.estimator,
         )?;
-        let prepared = match self.scratch.prepared.take() {
-            Some(mut p) => {
+        // The reclaimed planes are reused once nothing else shares them.
+        let prepared = match self.scratch.prepared.take().map(Arc::try_unwrap) {
+            Some(Ok(mut p)) => {
                 p.update(&background.image);
                 Arc::new(p)
             }
-            None => Arc::new(PreparedBackground::new(&background.image)),
+            _ => Arc::new(PreparedBackground::new(&background.image)),
         };
         let segmenter = FrameSegmenter::new_with_arena(
             &self.config.segmentation,

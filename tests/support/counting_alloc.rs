@@ -1,11 +1,11 @@
 //! The counting `#[global_allocator]` shared by the allocation
 //! regression suites: `crates/ga/tests/zero_alloc.rs`,
-//! `crates/segment/tests/zero_alloc.rs`, `tests/serve_overload.rs` and
-//! `tests/serve_churn_alloc.rs`. A suite includes it with
+//! `crates/segment/tests/zero_alloc.rs`, `tests/serve_overload.rs`,
+//! `tests/serve_churn_alloc.rs` and `tests/clip_ingest_alloc.rs`. A suite includes it with
 //! `#[path = "…/tests/support/counting_alloc.rs"] mod counting_alloc;`,
 //! which installs the allocator for that whole test binary.
 //!
-//! It keeps three tallies, and each suite reads the one its claim
+//! It keeps four tallies, and each suite reads the one its claim
 //! needs:
 //!
 //! * a per-thread count of every allocation ([`allocations_during`]).
@@ -16,7 +16,11 @@
 //!   test binary with a single `#[test]`;
 //! * a process-wide count of allocations of at least [`LARGE`] bytes
 //!   ([`large_allocations`]), with a ring of the most recent sizes
-//!   ([`recent_large_sizes`]) for the failure message.
+//!   ([`recent_large_sizes`]) for the failure message;
+//! * a largest-allocation tally, per thread ([`largest_during`]) and
+//!   process-wide. The process-wide one restarts at [`watch`] and also
+//!   counts the allocations at least as large as the watched size
+//!   ([`watched`]).
 //!
 //! Counting never allocates and never re-enters the allocator: the
 //! per-thread counter is a `const`-initialised `Cell` with no
@@ -38,7 +42,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// ~8 KiB, so 16 KiB cleanly splits the two tiers.
 pub const LARGE: usize = 16 * 1024;
 
-/// System allocator plus the three tallies.
+/// System allocator plus the four tallies.
 struct CountingAllocator;
 
 #[global_allocator]
@@ -46,18 +50,31 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 thread_local! {
     static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static THREAD_LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LARGE_ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static RECENT_LARGE_SIZES: [AtomicUsize; 16] = [const { AtomicUsize::new(0) }; 16];
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static WATCH_AT: AtomicUsize = AtomicUsize::new(usize::MAX);
+static WATCHED: AtomicUsize = AtomicUsize::new(0);
+static WATCHED_SIZES: [AtomicUsize; 16] = [const { AtomicUsize::new(0) }; 16];
 
 fn count(size: usize) {
     let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = THREAD_LARGEST.try_with(|m| m.set(m.get().max(size)));
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     if size >= LARGE {
         let n = LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         RECENT_LARGE_SIZES[n % RECENT_LARGE_SIZES.len()].store(size, Ordering::Relaxed);
+    }
+    LARGEST.fetch_max(size, Ordering::Relaxed);
+    if size >= WATCH_AT.load(Ordering::Relaxed) {
+        let n = WATCHED.fetch_add(1, Ordering::Relaxed);
+        if let Some(slot) = WATCHED_SIZES.get(n) {
+            slot.store(size, Ordering::Relaxed);
+        }
     }
 }
 
@@ -94,6 +111,15 @@ pub fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, THREAD_ALLOCATIONS.with(Cell::get) - before)
 }
 
+/// Runs `f` and returns the largest single allocation, in bytes, that
+/// it made on this thread (0 for none).
+pub fn largest_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let outer = THREAD_LARGEST.with(|m| m.replace(0));
+    let out = f();
+    let largest = THREAD_LARGEST.with(|m| m.replace(outer.max(m.get())));
+    (out, largest)
+}
+
 /// Allocations so far on every thread of the process.
 pub fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -111,4 +137,41 @@ pub fn recent_large_sizes() -> Vec<usize> {
         .map(|s| s.load(Ordering::Relaxed))
         .filter(|&s| s != 0)
         .collect()
+}
+
+/// Restarts the largest-allocation tally, counting from now on every
+/// allocation of at least `at_least` bytes.
+pub fn watch(at_least: usize) {
+    WATCH_AT.store(usize::MAX, Ordering::Relaxed);
+    WATCHED.store(0, Ordering::Relaxed);
+    for slot in &WATCHED_SIZES {
+        slot.store(0, Ordering::Relaxed);
+    }
+    LARGEST.store(0, Ordering::Relaxed);
+    WATCH_AT.store(at_least, Ordering::Relaxed);
+}
+
+/// What the largest-allocation tally saw since [`watch`].
+#[derive(Debug)]
+pub struct Watched {
+    /// The largest single allocation, bytes.
+    pub largest: usize,
+    /// Allocations of at least the watched size.
+    pub count: usize,
+    /// Their sizes, in order (the first 16).
+    pub sizes: Vec<usize>,
+}
+
+/// The largest-allocation tally since [`watch`].
+pub fn watched() -> Watched {
+    let count = WATCHED.load(Ordering::Relaxed);
+    Watched {
+        largest: LARGEST.load(Ordering::Relaxed),
+        count,
+        sizes: WATCHED_SIZES
+            .iter()
+            .take(count)
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect(),
+    }
 }
