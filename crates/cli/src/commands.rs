@@ -2,9 +2,9 @@
 
 use crate::args::Flags;
 use crate::error::CliError;
-use crate::truth::ClipTruth;
 use slj::prelude::*;
 use slj_video::io::{load_video, save_video};
+use slj_video::truth::ClipTruth;
 use std::io::Write;
 use std::str::FromStr;
 
@@ -562,15 +562,10 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `slj daemon` — run the long-lived socket service in front of the
-/// session manager.
-///
-/// Listens on one or more `tcp:HOST:PORT` / `unix:PATH` addresses
-/// (comma-separated) speaking `slj-wire/1`, and blocks until a client
-/// sends `DRAIN` (`slj submit --connect ADDR --drain`): in-flight
-/// sessions finish, new opens are refused with a typed rejection, then
-/// the daemon exits and prints its lifetime counters.
-pub fn daemon<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
+/// The listen addresses and daemon config `slj daemon`'s flags ask for.
+fn daemon_config(
+    args: &[String],
+) -> Result<(Vec<slj_daemon::Addr>, slj_daemon::DaemonConfig), CliError> {
     let flags = Flags::parse(
         args,
         &[
@@ -608,13 +603,21 @@ pub fn daemon<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     if max_frame_mb > 0 {
         config.max_frame = max_frame_mb * 1024 * 1024;
     }
-    let idle_timeout_ms: u64 = flags.get_or("idle-timeout-ms", 0)?;
-    if idle_timeout_ms > 0 {
-        // The reaper counts consecutive quiet read polls.
-        config.idle_timeouts = idle_timeout_ms.div_ceil(config.read_timeout_ms).max(1) as u32;
-    }
+    config.idle_timeout_ms = flags.get_or("idle-timeout-ms", config.idle_timeout_ms)?;
     config.trace_dir = flags.value("trace-dir").map(std::path::PathBuf::from);
+    Ok((addrs, config))
+}
 
+/// `slj daemon` — run the long-lived socket service in front of the
+/// session manager.
+///
+/// Listens on one or more `tcp:HOST:PORT` / `unix:PATH` addresses
+/// (comma-separated) speaking `slj-wire/1`, and blocks until a client
+/// sends `DRAIN` (`slj submit --connect ADDR --drain`): in-flight
+/// sessions finish, new opens are refused with a typed rejection, then
+/// the daemon exits and prints its lifetime counters.
+pub fn daemon<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
+    let (addrs, config) = daemon_config(args)?;
     let handle = slj_daemon::Daemon::start(&addrs, config)?;
     for addr in &handle.addrs {
         writeln!(out, "listening on {addr} ({})", slj_daemon::WIRE_SCHEMA)?;
@@ -893,4 +896,33 @@ pub fn flaws<W: Write>(out: &mut W) -> Result<(), CliError> {
         )?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn idle_timeout_flag_is_the_idle_window() {
+        // 429496729700 ms is 100 ms past 2^32 read polls of 100 ms: a
+        // poll count truncated to 32 bits wrapped to one poll there.
+        for (flag, window) in [
+            (None, Some(Duration::from_secs(300))),
+            (Some("2000"), Some(Duration::from_secs(2))),
+            (
+                Some("429496729700"),
+                Some(Duration::from_millis(429_496_729_700)),
+            ),
+            (Some("0"), None),
+        ] {
+            let args: Vec<String> = ["--listen", "tcp:127.0.0.1:0"]
+                .into_iter()
+                .chain(flag.iter().flat_map(|&ms| ["--idle-timeout-ms", ms]))
+                .map(String::from)
+                .collect();
+            let (_, config) = daemon_config(&args).unwrap();
+            assert_eq!(config.idle_window(), window, "--idle-timeout-ms {flag:?}");
+        }
+    }
 }

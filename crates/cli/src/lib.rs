@@ -22,7 +22,6 @@
 pub mod args;
 pub mod commands;
 pub mod error;
-pub mod truth;
 
 pub use error::CliError;
 
@@ -99,7 +98,9 @@ COMMANDS:
             are contained per connection, and a wire DRAIN (see
             `slj submit --drain`) finishes in-flight sessions and exits
             (--trace-dir additionally exports each session's
-             slj-trace/1 JSONL server-side)
+             slj-trace/1 JSONL server-side; --idle-timeout-ms reaps a
+             connection that sends nothing for that long, default
+             300000, and 0 never reaps)
   submit    stream a saved clip to a running daemon; the summary JSON
             (--report) and trace (--trace) are byte-identical to
             `slj analyze --stream` on the same clip and configuration,

@@ -481,7 +481,7 @@ fn gateway_serves_a_clip_over_http_byte_identical_to_analyze() {
 
     // Submit the clip exactly as the analyze run was configured.
     let video = slj_video::io::load_video(&dir).unwrap();
-    let truth = slj_cli::truth::ClipTruth::load(&dir).unwrap();
+    let truth = slj_video::truth::ClipTruth::load(&dir).unwrap();
     let open = slj_daemon::OpenRequest {
         camera: truth.camera,
         dims: truth.dims.clone(),

@@ -13,6 +13,7 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
+use slj_imgproc::pixel::pack_rgb;
 use slj_video::Frame;
 
 use crate::addr::Addr;
@@ -98,11 +99,11 @@ impl From<WireError> for ClientError {
     }
 }
 
-/// Knobs for a [`Client`].
+/// Knobs for a [`Client`]. Reads carry no deadline: a client waits for
+/// its reply as long as the daemon takes, and learns of a dead daemon
+/// from the socket closing.
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// Socket read timeout (also the reply-wait granularity).
-    pub read_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
     /// How many times to re-offer a frame the daemon sheds with
@@ -117,7 +118,6 @@ pub struct ClientOptions {
 impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
-            read_timeout: Duration::from_millis(100),
             write_timeout: Duration::from_secs(10),
             max_offer_retries: 10_000,
             retry_backoff: Duration::from_millis(1),
@@ -164,7 +164,6 @@ impl Client {
             Addr::Tcp(hostport) => Stream::Tcp(TcpStream::connect(hostport.as_str())?),
             Addr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
         };
-        stream.set_read_timeout(Some(options.read_timeout))?;
         stream.set_write_timeout(Some(options.write_timeout))?;
         let mut client = Client {
             stream,
@@ -199,7 +198,7 @@ impl Client {
         Ok(())
     }
 
-    /// Blocks until one message arrives (riding out read timeouts).
+    /// Blocks until one message arrives.
     fn recv(&mut self) -> Result<WireMsg, ClientError> {
         let mut chunk = [0u8; 64 * 1024];
         loop {
@@ -214,7 +213,6 @@ impl Client {
                     )))
                 }
                 Ok(n) => self.decoder.push(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(ClientError::Io(e)),
             }
@@ -270,15 +268,11 @@ impl Client {
     /// mid-stream; plus the transport errors.
     pub fn send_frame(&mut self, session: u64, frame: &Frame) -> Result<u64, ClientError> {
         let (width, height) = frame.dims();
-        let mut rgb = Vec::with_capacity(width * height * 3);
-        for px in frame.as_slice() {
-            rgb.extend_from_slice(&[px.r, px.g, px.b]);
-        }
         let msg = WireMsg::Frame {
             session,
             width: width as u32,
             height: height as u32,
-            rgb,
+            rgb: pack_rgb(frame.as_slice()),
         };
         let mut attempts = 0;
         loop {
@@ -318,36 +312,9 @@ impl Client {
     /// typed failure or quarantine; plus the transport errors.
     pub fn flush(&mut self, session: u64) -> Result<RemoteAnalysis, ClientError> {
         self.send(&WireMsg::Flush { session })?;
-        let (summary_json, trace_jsonl) = self.recv_until(|msg| match msg {
-            WireMsg::Analysis {
-                session: s,
-                summary_json,
-                trace_jsonl,
-            } if s == session => Ok(Some((summary_json, trace_jsonl))),
-            WireMsg::Failed { session: s, error } if s == session => {
-                Err(ClientError::SessionFailed { error })
-            }
-            // Acks for frames the ack-wait loop already consumed
-            // cannot appear (lockstep), so anything else is protocol.
-            other => Err(ClientError::Protocol {
-                got: other.name().to_owned(),
-            }),
-        })?;
-        let mut events = Vec::new();
-        self.pending_events.retain(|(s, line)| {
-            if *s == session {
-                events.push(line.clone());
-                false
-            } else {
-                true
-            }
-        });
-        Ok(RemoteAnalysis {
-            session,
-            summary_json,
-            trace_jsonl,
-            events,
-        })
+        // Lockstep: every frame's ack was consumed before the flush, so
+        // the terminal reply is the next non-event message.
+        self.await_result(session)
     }
 
     /// Runs a whole clip through one session: open, stream every
@@ -515,12 +482,6 @@ impl Client {
     #[doc(hidden)]
     pub fn recv_raw(&mut self) -> Result<WireMsg, ClientError> {
         self.recv()
-    }
-
-    /// Errors-with-code helper for tests: `true` when the error is a
-    /// typed server disconnect with `code`.
-    pub fn is_server_error(err: &ClientError, code: u16) -> bool {
-        matches!(err, ClientError::Server { code: c, .. } if *c == code)
     }
 }
 

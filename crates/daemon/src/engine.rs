@@ -1,7 +1,6 @@
-//! The daemon engine: one thread owning the
-//! [`SessionManager`](slj_serve::SessionManager), fed by per-connection
-//! reader threads through a bounded request channel, replying through
-//! per-connection writer channels.
+//! The daemon engine: one thread owning the [`SessionManager`], fed by
+//! per-connection reader threads through a bounded request channel,
+//! replying through per-connection writer channels.
 //!
 //! The engine never blocks on a client. Inbound, readers block on the
 //! bounded request channel (which becomes TCP backpressure at the
@@ -32,6 +31,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 use slj::{AnalyzerConfig, RobustnessPolicy};
+use slj_imgproc::pixel::unpack_rgb;
 use slj_imgproc::ImgError;
 use slj_motion::{BodyDims, Pose};
 use slj_serve::{
@@ -182,8 +182,11 @@ impl OpenRequest {
     }
 }
 
-/// Daemon-level knobs. Every buffer in the transport has an explicit
-/// bound here.
+/// Daemon-level settings: the ones a CLI flag or a test sets. The
+/// transport's other bounds are constants next to the code they bound:
+/// the parked-reply cap and the intake budget in the engine, the
+/// request and reply channel depths and the write deadline in the
+/// server.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// The service core's own knobs (queue depth, supervision budgets,
@@ -191,39 +194,30 @@ pub struct DaemonConfig {
     pub serve: ServeConfig,
     /// Wire-frame body bound enforced by every connection's decoder.
     pub max_frame: usize,
-    /// Bound of the shared reader→engine request channel; full means
-    /// readers block, which surfaces to clients as TCP backpressure.
-    pub request_depth: usize,
-    /// Bound of each connection's engine→writer reply channel.
-    pub reply_depth: usize,
-    /// Bound on a connection's parked must-deliver replies once the
-    /// reply channel is full; overflow disconnects the client
-    /// (`ERROR` code [`codes::TOO_SLOW`]).
-    pub parked_cap: usize,
-    /// Socket read deadline, ms (one reader poll interval).
-    pub read_timeout_ms: u64,
-    /// Socket write deadline, ms; a blocked write past it tears the
-    /// connection down.
-    pub write_timeout_ms: u64,
-    /// Consecutive read timeouts before an idle connection is reaped
-    /// (0 disables reaping). The idle window is therefore
-    /// `idle_timeouts * read_timeout_ms`.
-    pub idle_timeouts: u32,
+    /// The idle window, ms: a connection that sends no byte for this
+    /// long is reaped with `ERROR` code [`codes::IDLE`]. It is the
+    /// socket's read timeout, so one read that times out ends the
+    /// connection. 0 means never reap.
+    pub idle_timeout_ms: u64,
     /// The idle heartbeat, ms: after a tick that progressed no session,
     /// the engine waits this long for a request before ticking anyway.
     /// A tick that progressed any session is followed by the next at
     /// once, so only quiet sessions, parked replies and empty queues
     /// wait for it — stall windows keep their wall-clock length.
     pub tick_wait_ms: u64,
-    /// Most requests handled per engine pass before a tick is forced.
-    /// Without this bound a pack of clients re-offering into a full
-    /// queue every millisecond keeps the intake loop busy forever and
-    /// starves the very ticks that would drain the queue — a livelock
-    /// where backpressured clients stall every session.
-    pub intake_budget: usize,
     /// When set, every finished session's `slj-trace/1` JSONL is also
     /// written to `<trace_dir>/session-<id>.trace.jsonl`.
     pub trace_dir: Option<PathBuf>,
+}
+
+impl DaemonConfig {
+    /// The socket read timeout that enforces
+    /// [`idle_timeout_ms`](DaemonConfig::idle_timeout_ms): `None` when
+    /// it is 0, because a zero read timeout is refused by the socket
+    /// API rather than meaning "never".
+    pub fn idle_window(&self) -> Option<Duration> {
+        (self.idle_timeout_ms > 0).then(|| Duration::from_millis(self.idle_timeout_ms))
+    }
 }
 
 impl Default for DaemonConfig {
@@ -238,18 +232,24 @@ impl Default for DaemonConfig {
                 ..ServeConfig::default()
             },
             max_frame: DEFAULT_MAX_FRAME,
-            request_depth: 1024,
-            reply_depth: 64,
-            parked_cap: 256,
-            read_timeout_ms: 100,
-            write_timeout_ms: 10_000,
-            idle_timeouts: 3000,
+            idle_timeout_ms: 300_000,
             tick_wait_ms: 2,
-            intake_budget: 256,
             trace_dir: None,
         }
     }
 }
+
+/// Bound on a connection's parked must-deliver replies once the reply
+/// channel is full; overflow disconnects the client (`ERROR` code
+/// [`codes::TOO_SLOW`]).
+const PARKED_CAP: usize = 256;
+
+/// Most requests handled per engine pass before a tick is forced.
+/// Without this bound a pack of clients re-offering into a full queue
+/// every millisecond keeps the intake loop busy forever and starves the
+/// very ticks that would drain the queue — a livelock where
+/// backpressured clients stall every session.
+const INTAKE_BUDGET: usize = 256;
 
 /// What one connection's reader tells the engine.
 #[derive(Debug)]
@@ -387,7 +387,6 @@ impl Engine {
     /// error): the writer channel first, the parked queue when it is
     /// full, teardown when even the parked queue overflows.
     fn must_deliver(&mut self, conn: u64, msg: WireMsg) {
-        let parked_cap = self.config.parked_cap;
         let Some(state) = self.conn_mut(conn) else {
             return;
         };
@@ -408,7 +407,7 @@ impl Engine {
         } else {
             state.parked.push_back(msg);
         }
-        if state.parked.len() > parked_cap {
+        if state.parked.len() > PARKED_CAP {
             // The client keeps sending work but stopped reading
             // replies. Dropping acks would wedge it; the only honest
             // move is a typed disconnect.
@@ -416,7 +415,7 @@ impl Engine {
                 conn,
                 Some(WireMsg::Error {
                     code: codes::TOO_SLOW,
-                    message: format!("{parked_cap} unread replies; closing"),
+                    message: format!("{PARKED_CAP} unread replies; closing"),
                 }),
             );
         }
@@ -765,15 +764,7 @@ impl Engine {
             return self.unknown_session(conn, session);
         };
         // The decoder guaranteed rgb.len() == 3 * width * height.
-        let pixels: Vec<slj_imgproc::Rgb> = rgb
-            .chunks_exact(3)
-            .map(|c| slj_imgproc::Rgb {
-                r: c[0],
-                g: c[1],
-                b: c[2],
-            })
-            .collect();
-        let frame = match Frame::from_vec(width, height, pixels) {
+        let frame = match Frame::from_vec(width, height, unpack_rgb(rgb).collect()) {
             Ok(f) => f,
             Err(e) => {
                 return self.teardown(
@@ -1012,10 +1003,10 @@ impl Engine {
         }
     }
 
-    /// Handles up to `1 + intake_budget` queued requests, waiting up to
+    /// Handles up to `1 + INTAKE_BUDGET` queued requests, waiting up to
     /// the heartbeat for the first when `wait` is set. Past the budget
     /// the rest stay queued — intake must never starve the
-    /// queue-draining ticks (see `intake_budget`).
+    /// queue-draining ticks (see [`INTAKE_BUDGET`]).
     fn intake(&mut self, wait: bool) {
         let first = if wait {
             let heartbeat = Duration::from_millis(self.config.tick_wait_ms);
@@ -1037,7 +1028,7 @@ impl Engine {
             return;
         };
         self.handle_request(first);
-        for _ in 0..self.config.intake_budget {
+        for _ in 0..INTAKE_BUDGET {
             match self.requests.try_recv() {
                 Ok(request) => self.handle_request(request),
                 Err(_) => break,

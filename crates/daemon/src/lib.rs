@@ -10,7 +10,7 @@
 //! * one **acceptor** thread per listener (TCP and/or Unix-domain
 //!   sockets, [`Addr`]);
 //! * per connection, a **reader** thread (decodes [`wire`] frames
-//!   under a read deadline and a max-frame bound, forwards requests
+//!   under the idle deadline and a max-frame bound, forwards requests
 //!   into a *bounded* channel) and a **writer** thread (serialises
 //!   replies under a write deadline);
 //! * one **engine** thread that owns the `SessionManager`, drains the

@@ -34,6 +34,17 @@ use slj_video::io::PpmStreamDecoder;
 /// would spin).
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
+/// Bound of the shared reader→engine request channel; full means
+/// readers block, which surfaces to clients as TCP backpressure.
+const REQUEST_DEPTH: usize = 1024;
+
+/// Bound of each connection's engine→writer reply channel.
+const REPLY_DEPTH: usize = 64;
+
+/// Socket write deadline; a blocked write past it tears the connection
+/// down.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// One live transport stream: the TCP/UDS split stops here. Public so
 /// other front ends (the HTTP gateway) can serve the same dual
 /// transports without duplicating the socket plumbing.
@@ -384,12 +395,9 @@ impl Daemon {
         }
 
         let drain = Drain::new(&bound);
-        let (request_tx, request_rx) = sync_channel::<Request>(config.request_depth);
+        let (request_tx, request_rx) = sync_channel::<Request>(REQUEST_DEPTH);
         let conn_config = ConnConfig {
-            reply_depth: config.reply_depth,
-            read_timeout: Duration::from_millis(config.read_timeout_ms),
-            write_timeout: Duration::from_millis(config.write_timeout_ms),
-            idle_timeouts: config.idle_timeouts,
+            idle_window: config.idle_window(),
             max_frame: config.max_frame,
         };
 
@@ -430,10 +438,8 @@ impl Daemon {
 /// Per-connection socket settings, copied from [`DaemonConfig`].
 #[derive(Clone, Copy)]
 struct ConnConfig {
-    reply_depth: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    idle_timeouts: u32,
+    /// The socket's read timeout: [`DaemonConfig::idle_window`].
+    idle_window: Option<Duration>,
     max_frame: usize,
 }
 
@@ -471,13 +477,13 @@ fn spawn_connection(
     requests: &SyncSender<Request>,
     config: ConnConfig,
 ) -> Result<Option<JoinHandle<()>>, ()> {
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-    let _ = stream.set_write_timeout(Some(config.write_timeout));
+    let _ = stream.set_read_timeout(config.idle_window);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return Ok(None), // connection stillborn; accept the next
     };
-    let (reply_tx, reply_rx) = sync_channel::<Out>(config.reply_depth);
+    let (reply_tx, reply_rx) = sync_channel::<Out>(REPLY_DEPTH);
     requests
         .send(Request::Connect {
             conn,
@@ -487,15 +493,7 @@ fn spawn_connection(
     let reader_requests = requests.clone();
     thread::Builder::new()
         .name(format!("slj-daemon-read-{conn}"))
-        .spawn(move || {
-            reader_loop(
-                conn,
-                stream,
-                &reader_requests,
-                config.idle_timeouts,
-                config.max_frame,
-            )
-        })
+        .spawn(move || reader_loop(conn, stream, &reader_requests, config.max_frame))
         .expect("spawn reader thread");
     let writer = thread::Builder::new()
         .name(format!("slj-daemon-write-{conn}"))
@@ -512,34 +510,20 @@ enum ReadEnd {
     Idle,
 }
 
-/// One connection's socket, read under the idle-reaping rule: a read
-/// that times out `idle_timeouts` times in a row (0 disables reaping)
-/// ends the connection.
-struct ConnReader {
-    stream: Stream,
-    idle_timeouts: u32,
-    quiet_polls: u32,
-}
-
-impl ConnReader {
-    /// Reads at least one byte into `buf`.
-    fn read(&mut self, buf: &mut [u8]) -> Result<usize, ReadEnd> {
-        loop {
-            match self.stream.read(buf) {
-                Ok(0) => return Err(ReadEnd::Gone),
-                Ok(n) => {
-                    self.quiet_polls = 0;
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    self.quiet_polls = self.quiet_polls.saturating_add(1);
-                    if self.idle_timeouts > 0 && self.quiet_polls >= self.idle_timeouts {
-                        return Err(ReadEnd::Idle);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Err(ReadEnd::Gone),
+/// Reads at least one byte of a connection's socket into `buf`. The
+/// socket's read timeout is the idle window, so the first read that
+/// times out ends the connection as idle; with no timeout set, a read
+/// waits for the peer however long it takes.
+fn read_some(stream: &mut Stream, buf: &mut [u8]) -> Result<usize, ReadEnd> {
+    loop {
+        match stream.read(buf) {
+            Ok(0) => return Err(ReadEnd::Gone),
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                return Err(ReadEnd::Idle)
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => return Err(ReadEnd::Gone),
         }
     }
 }
@@ -552,18 +536,7 @@ impl ConnReader {
 /// the clip is decoded straight off the socket by a
 /// [`PpmStreamDecoder`] that reads exactly the frame's remaining bytes,
 /// and the engine gets the decoded frames (or the decode error).
-fn reader_loop(
-    conn: u64,
-    stream: Stream,
-    requests: &SyncSender<Request>,
-    idle_timeouts: u32,
-    max_frame: usize,
-) {
-    let mut reader = ConnReader {
-        stream,
-        idle_timeouts,
-        quiet_polls: 0,
-    };
+fn reader_loop(conn: u64, mut stream: Stream, requests: &SyncSender<Request>, max_frame: usize) {
     let mut decoder = Decoder::new(max_frame);
     let mut chunk = [0u8; 64 * 1024];
     loop {
@@ -577,7 +550,7 @@ fn reader_loop(
                 clip.push(decoder.take_buffered(clip_len));
                 while clip.remaining() > 0 {
                     let want = clip.remaining().min(chunk.len());
-                    match reader.read(&mut chunk[..want]) {
+                    match read_some(&mut stream, &mut chunk[..want]) {
                         Ok(n) => clip.push(&chunk[..n]),
                         Err(end) => return end_connection(conn, requests, end),
                     }
@@ -588,7 +561,7 @@ fn reader_loop(
                     frames: clip.finish(),
                 }
             }
-            Ok(None) => match reader.read(&mut chunk) {
+            Ok(None) => match read_some(&mut stream, &mut chunk) {
                 Ok(n) => {
                     decoder.push(&chunk[..n]);
                     continue;
@@ -676,6 +649,89 @@ mod tests {
         reap_finished(&mut handles);
         assert!(handles.is_empty());
         reap_finished(&mut handles);
+    }
+
+    /// One end of a socket pair read under `idle_timeout_ms`'s idle
+    /// window, as a connection's reader reads it, and the peer's end.
+    fn idle_reader(idle_timeout_ms: u64) -> (Stream, UnixStream) {
+        let (ours, peer) = UnixStream::pair().unwrap();
+        let config = DaemonConfig {
+            idle_timeout_ms,
+            ..DaemonConfig::default()
+        };
+        let stream = Stream::Unix(ours);
+        stream.set_read_timeout(config.idle_window()).unwrap();
+        (stream, peer)
+    }
+
+    /// The kernel counts a socket timeout in scheduler ticks, so it can
+    /// expire up to one tick (at most 10 ms) short of the window.
+    const TICK: Duration = Duration::from_millis(10);
+
+    #[test]
+    fn a_silent_peer_is_idle_after_the_window_and_not_before() {
+        let (mut stream, _peer) = idle_reader(100);
+        let start = Instant::now();
+        let end = read_some(&mut stream, &mut [0u8; 16]);
+        let waited = start.elapsed();
+        assert!(matches!(end, Err(ReadEnd::Idle)));
+        assert!(
+            waited + TICK >= Duration::from_millis(100) && waited < Duration::from_secs(5),
+            "reaped after {waited:?}"
+        );
+    }
+
+    #[test]
+    fn bytes_inside_the_window_keep_the_connection_open() {
+        let (mut stream, mut peer) = idle_reader(100);
+        let sent: Vec<u8> = (1..=8).collect();
+        let writer = {
+            let sent = sent.clone();
+            thread::spawn(move || {
+                for byte in sent {
+                    thread::sleep(Duration::from_millis(60));
+                    peer.write_all(&[byte]).unwrap();
+                }
+                // Handed back, so the socket stays open until the
+                // reader has gone idle.
+                peer
+            })
+        };
+        let start = Instant::now();
+        let mut got = Vec::new();
+        let mut buf = [0u8; 16];
+        let end = loop {
+            match read_some(&mut stream, &mut buf) {
+                Ok(n) => got.extend_from_slice(&buf[..n]),
+                Err(end) => break end,
+            }
+        };
+        let open_for = start.elapsed();
+        let _peer = writer.join().unwrap();
+        assert!(matches!(end, ReadEnd::Idle));
+        assert_eq!(got, sent, "every byte is read");
+        assert!(
+            open_for > Duration::from_millis(300),
+            "reaped after {open_for:?}"
+        );
+    }
+
+    #[test]
+    fn without_reaping_a_read_waits_for_the_peer_to_close() {
+        let (mut stream, peer) = idle_reader(0);
+        let start = Instant::now();
+        let closer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(250));
+            drop(peer);
+        });
+        let end = read_some(&mut stream, &mut [0u8; 16]);
+        let waited = start.elapsed();
+        closer.join().unwrap();
+        assert!(matches!(end, Err(ReadEnd::Gone)));
+        assert!(
+            waited >= Duration::from_millis(250),
+            "gave up after {waited:?}"
+        );
     }
 
     #[test]

@@ -570,7 +570,8 @@ impl Decoder {
         }
     }
 
-    /// Buffers transport bytes. Never parses — call [`Decoder::next`].
+    /// Buffers transport bytes. Never parses — call
+    /// [`Decoder::next_msg`] or [`Decoder::next_part`].
     pub fn push(&mut self, bytes: &[u8]) {
         // Compact before growing so a long-lived connection's buffer
         // stays proportional to one frame, not to history.

@@ -387,11 +387,11 @@ fn stalled_connection_is_idle_reaped_with_a_typed_error() {
     let request = open_request(&jump, &scene, false);
     let (ref_summary, _) = reference(&jump, &request);
 
-    // Reap after 20 quiet read-timeout polls (~2s): far longer than a
-    // lockstep client's inter-frame gap even with the whole test
-    // binary's scenarios running in parallel, far shorter than forever.
+    // Reap after 2 s of silence: far longer than a lockstep client's
+    // inter-frame gap even with the whole test binary's scenarios
+    // running in parallel, far shorter than forever.
     let mut config = daemon_config();
-    config.idle_timeouts = 20;
+    config.idle_timeout_ms = 2000;
     let handle = Daemon::start(&[Addr::Tcp("127.0.0.1:0".to_owned())], config).unwrap();
     let addr = handle.addrs[0].clone();
 
@@ -875,7 +875,7 @@ fn a_streamed_clip_keeps_every_edge_check() {
     });
 
     let mut config = daemon_config();
-    config.idle_timeouts = 20;
+    config.idle_timeout_ms = 2000;
     let handle = Daemon::start(&[Addr::Tcp("127.0.0.1:0".to_owned())], config).unwrap();
     let addr = handle.addrs[0].clone();
     let Addr::Tcp(hostport) = addr.clone() else {

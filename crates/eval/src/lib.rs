@@ -12,7 +12,7 @@
 //!   (clip × fault profile × gap policy) cells producing the
 //!   deterministic `EVAL_accuracy.json` report, including the
 //!   kinematic-interpolation vs carry-over A/B on gap frames.
-//! * [`calibrate`] — the ROC sweep over segmentation quality
+//! * [`calibrate`](mod@calibrate) — the ROC sweep over segmentation quality
 //!   thresholds and the confidence-model fit that back the defaults
 //!   committed into `slj-segment` and `slj`.
 //!

@@ -283,18 +283,6 @@ impl TrackingRun {
         self.frames.iter().map(|f| f.evaluations).sum()
     }
 
-    /// Mean generation-of-best over tracked (non-carried) frames after
-    /// the first.
-    pub fn mean_generation_of_best(&self) -> f64 {
-        Self::mean_over(
-            self.frames
-                .iter()
-                .skip(1)
-                .filter(|f| f.ga_estimated())
-                .map(|f| f.generation_of_best),
-        )
-    }
-
     /// Mean generations-to-near-best over tracked frames after the first
     /// — the quantity behind the paper's "the shown best estimated model
     /// was generated at the second generation".
@@ -627,7 +615,8 @@ impl TemporalTracker {
 
 /// A tracker stream's recyclable heavy state: the spare Eq. 3 evaluator
 /// (point planes + distance field, rebuilt in place per frame) and each
-/// recovery rung's [`ProblemScratch`] (memo tables + batch buffers).
+/// recovery rung's [`ProblemScratch`](crate::ProblemScratch) (memo
+/// tables + batch buffers).
 /// Purely an allocation cache — results never depend on its contents —
 /// so cloning a stream starts the clone with a fresh scratch.
 #[derive(Debug, Default)]

@@ -44,20 +44,18 @@ use slj_obs::MetricsRegistry;
 
 use http::{read_request, write_response, HttpError, Limits, Request};
 
-/// Gateway knobs. The defaults are sized for the daemon's own default
-/// wire-frame cap: a body that passes the gateway always fits the one
-/// `OPEN_CLIP` frame it becomes.
+/// Gateway knobs: the ones `slj gateway`'s flags set. The defaults are
+/// sized for the daemon's own default wire-frame cap: a body that passes
+/// the gateway always fits the one `OPEN_CLIP` frame it becomes. The
+/// header cap and the finished-job retention are constants, and the
+/// wire connections the gateway dials use the default client options.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
     /// Maximum request body (open-request line + PPM bytes). Must stay
     /// under the daemon's `max_frame` minus the envelope overhead.
     pub max_body: usize,
-    /// Maximum request line + header bytes.
-    pub max_header: usize,
     /// In-flight (running) job cap; admissions beyond it get `429`.
     pub max_jobs: usize,
-    /// Finished jobs retained for `GET` before the oldest are evicted.
-    pub max_done: usize,
     /// Concurrent HTTP connections; accepts beyond it get `503`.
     pub max_conns: usize,
     /// Per-connection socket read deadline (slowloris bound).
@@ -66,8 +64,6 @@ pub struct GatewayConfig {
     pub write_timeout: Duration,
     /// The `Retry-After` seconds sent with every `429`.
     pub retry_after: u64,
-    /// Options for the wire connections the gateway dials.
-    pub client: ClientOptions,
 }
 
 impl Default for GatewayConfig {
@@ -75,14 +71,11 @@ impl Default for GatewayConfig {
         GatewayConfig {
             // 4 KiB of slack covers the JSON line + wire envelope.
             max_body: slj_daemon::DEFAULT_MAX_FRAME - 4096,
-            max_header: 16 * 1024,
             max_jobs: 16,
-            max_done: 256,
             max_conns: 64,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             retry_after: 1,
-            client: ClientOptions::default(),
         }
     }
 }
@@ -242,11 +235,14 @@ fn respond_json(stream: &mut Stream, status: u16, body: &str) -> io::Result<()> 
     write_response(stream, status, "application/json", &[], body.as_bytes())
 }
 
+/// Maximum request line + header bytes.
+const MAX_HEADER: usize = 16 * 1024;
+
 /// One request, one response, close. Every path out of here writes a
 /// typed status unless the peer is already gone.
 fn handle_connection(shared: &Arc<Shared>, mut stream: Stream) {
     let limits = Limits {
-        max_header: shared.config.max_header,
+        max_header: MAX_HEADER,
         max_body: shared.config.max_body,
     };
     let request = match read_request(&mut stream, &limits) {
@@ -320,6 +316,9 @@ fn handle_metrics(shared: &Arc<Shared>, stream: &mut Stream) -> io::Result<()> {
     respond_text(stream, 200, &rendered)
 }
 
+/// Finished jobs retained for `GET` before the oldest are evicted.
+const MAX_DONE: usize = 256;
+
 /// The ingestion path. Refusal order is deliberate: everything the
 /// gateway can decide locally (shape, JSON and its field ranges, drain,
 /// job cap) is decided *before* a wire connection is dialed, so bad
@@ -370,7 +369,7 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
             b"job table is full; retry shortly\n",
         );
     }
-    let admitted = Client::connect(&shared.daemon, shared.config.client.clone())
+    let admitted = Client::connect(&shared.daemon, ClientOptions::default())
         .map_err(|e| {
             (
                 502u16,
@@ -382,7 +381,7 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
             client
                 .open_clip(&open, ppm)
                 .map(|session| (client, session))
-                .map_err(|e| refusal(shared, e))
+                .map_err(refusal)
         });
     let (client, session) = match admitted {
         Ok(pair) => pair,
@@ -405,7 +404,7 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
     {
         let mut jobs = shared.jobs.lock().unwrap();
         // Evict the oldest finished jobs past the retention cap.
-        while jobs.len() >= shared.config.max_jobs + shared.config.max_done {
+        while jobs.len() >= shared.config.max_jobs + MAX_DONE {
             let evict = jobs
                 .iter()
                 .find(|(_, s)| !matches!(s, JobState::Running))
@@ -443,7 +442,7 @@ fn handle_submit(shared: &Arc<Shared>, stream: &mut Stream, request: &Request) -
 /// daemon's admission answers become the HTTP backpressure contract:
 /// capacity → `429` (with `Retry-After` added by the caller), draining
 /// → `503`, an undecodable clip or unparseable request → `400`.
-fn refusal(_shared: &Arc<Shared>, err: ClientError) -> (u16, String, &'static str) {
+fn refusal(err: ClientError) -> (u16, String, &'static str) {
     match err {
         ClientError::Rejected { reason } => {
             if reason.contains("at capacity") {
@@ -535,7 +534,7 @@ fn handle_job_get(
 fn handle_drain(shared: &Arc<Shared>, stream: &mut Stream) -> io::Result<()> {
     shared.draining.store(true, Ordering::SeqCst);
     shared.inc("gateway_drains");
-    match Client::connect(&shared.daemon, shared.config.client.clone())
+    match Client::connect(&shared.daemon, ClientOptions::default())
         .and_then(|mut client| client.drain())
     {
         Ok(in_flight) => respond_json(

@@ -7,7 +7,7 @@
 use crate::error::ImgError;
 use crate::image::ImageBuffer;
 use crate::mask::Mask;
-use crate::pixel::{Gray, Rgb};
+use crate::pixel::{pack_rgb, unpack_rgb, Gray, Rgb};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -18,11 +18,7 @@ use std::path::Path;
 /// Returns [`ImgError::Io`] on any write failure.
 pub fn write_ppm<W: Write>(img: &ImageBuffer<Rgb>, mut w: W) -> Result<(), ImgError> {
     write!(w, "P6\n{} {}\n255\n", img.width(), img.height())?;
-    let mut buf = Vec::with_capacity(img.len() * 3);
-    for &p in img.as_slice() {
-        buf.extend_from_slice(&[p.r, p.g, p.b]);
-    }
-    w.write_all(&buf)?;
+    w.write_all(&pack_rgb(img.as_slice()))?;
     Ok(())
 }
 
@@ -61,19 +57,6 @@ pub fn save_ppm<P: AsRef<Path>>(img: &ImageBuffer<Rgb>, path: P) -> Result<(), I
     }
     let f = std::fs::File::create(path)?;
     write_ppm(img, std::io::BufWriter::new(f))
-}
-
-/// Saves a grayscale image to a PGM file, creating parent directories.
-///
-/// # Errors
-///
-/// Returns [`ImgError::Io`] on any filesystem failure.
-pub fn save_pgm<P: AsRef<Path>>(img: &ImageBuffer<Gray>, path: P) -> Result<(), ImgError> {
-    if let Some(parent) = path.as_ref().parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let f = std::fs::File::create(path)?;
-    write_pgm(img, std::io::BufWriter::new(f))
 }
 
 /// Saves a mask to a PGM file, creating parent directories.
@@ -232,11 +215,7 @@ pub fn read_ppm<R: Read>(r: R) -> Result<ImageBuffer<Rgb>, ImgError> {
     let mut buf = vec![0u8; w * h * 3];
     r.read_exact(&mut buf)
         .map_err(|e| ImgError::Decode(format!("truncated pixel data: {e}")))?;
-    let pixels: Vec<Rgb> = buf
-        .chunks_exact(3)
-        .map(|c| Rgb::new(c[0], c[1], c[2]))
-        .collect();
-    ImageBuffer::from_vec(w, h, pixels)
+    ImageBuffer::from_vec(w, h, unpack_rgb(&buf).collect())
 }
 
 /// Reads a binary PGM (P5) image.

@@ -15,7 +15,7 @@ use slj_imgproc::image::ImageBuffer;
 use slj_imgproc::io;
 use slj_imgproc::mask::Mask;
 use slj_imgproc::morph::{close, dilate, erode, neighbor_filter, open, Connectivity};
-use slj_imgproc::pixel::{Gray, Hsv, Rgb};
+use slj_imgproc::pixel::{pack_rgb, unpack_rgb, Gray, Hsv, Rgb};
 
 /// Strategy: a small mask with arbitrary contents.
 fn mask_strategy() -> impl Strategy<Value = Mask> {
@@ -246,6 +246,21 @@ proptest! {
         io::write_ppm(&img, &mut buf).unwrap();
         let back = io::read_ppm(&buf[..]).unwrap();
         prop_assert_eq!(back, img);
+    }
+
+    #[test]
+    fn packed_rgb_helpers_match_per_pixel_conversion(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        // A trailing partial pixel is not a pixel.
+        let whole = &bytes[..bytes.len() / 3 * 3];
+        let naive: Vec<Rgb> = whole
+            .chunks(3)
+            .map(|c| Rgb::new(c[0], c[1], c[2]))
+            .collect();
+        let unpacked: Vec<Rgb> = unpack_rgb(&bytes).collect();
+        prop_assert_eq!(&unpacked, &naive);
+        prop_assert_eq!(pack_rgb(&unpacked), whole);
     }
 
     #[test]

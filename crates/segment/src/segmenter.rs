@@ -1,4 +1,5 @@
-//! The per-frame segmentation engine behind [`SegmentPipeline`]
+//! The per-frame segmentation engine behind
+//! [`SegmentPipeline`](crate::SegmentPipeline)
 //! (steady-state zero-allocation).
 //!
 //! [`SegmentPipeline::run`](crate::pipeline::SegmentPipeline::run) used
@@ -231,11 +232,6 @@ impl FrameSegmenter {
     /// starts with warmed buffers.
     pub fn into_parts(self) -> (Arc<PreparedBackground>, FrameArena) {
         (self.background, self.arena)
-    }
-
-    /// The prepared background in use.
-    pub fn background(&self) -> &PreparedBackground {
-        &self.background
     }
 
     /// Segments one frame into a fresh [`FrameStages`].

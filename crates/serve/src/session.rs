@@ -1,7 +1,7 @@
 //! One supervised streaming session: bounded queue, panic isolation,
 //! checkpointed restarts and the degraded-frame budget.
 //!
-//! A [`Session`] is the unit the [`SessionManager`](crate::SessionManager)
+//! A `Session` is the unit the [`SessionManager`](crate::SessionManager)
 //! fans out over worker threads, so everything here is strictly
 //! deterministic given the offer schedule and the chaos plan: no
 //! wall-clock reads outside the optional `Wall` deadline clock, no

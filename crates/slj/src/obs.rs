@@ -5,7 +5,7 @@
 //! masks, GA accounting, rule verdicts — so the batch and streaming
 //! paths produce bit-identical span data for the same clip and
 //! configuration, at every `Parallelism` setting. Both build one
-//! [`FrameObs`] per frame with [`frame_obs`] (batch over the retained
+//! [`FrameObs`] per frame with `frame_obs` (batch over the retained
 //! stage masks, streaming on each
 //! [`push_frame`](crate::StreamingAnalyzer::push_frame)), and the
 //! shared analysis tail attaches the rule spans.

@@ -22,7 +22,7 @@
 //! honours identically, the segmentation engine is the same
 //! [`FrameSegmenter`] the batch pipeline runs, tracking goes through
 //! the very functions the batch path calls
-//! ([`TrackerStream`](slj_ga::tracker::TrackerStream) is the loop body
+//! ([`TrackerStream`] is the loop body
 //! of `track`), and `finish` ends in the same smoothing, robustness,
 //! scoring and measurement function as batch. The
 //! `streaming_determinism` integration test asserts
@@ -343,11 +343,6 @@ impl StreamingAnalyzer {
     /// Frames pushed so far.
     pub fn frames_pushed(&self) -> usize {
         self.frames_pushed
-    }
-
-    /// The background estimate, once the warmup window has filled.
-    pub fn background(&self) -> Option<&EstimatedBackground> {
-        self.live.as_ref().map(|l| &l.background)
     }
 
     /// Replaces the robustness policy applied at

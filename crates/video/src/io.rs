@@ -12,6 +12,7 @@
 
 use crate::video::{Frame, Video};
 use serde::{Deserialize, Serialize};
+use slj_imgproc::pixel::unpack_rgb;
 use slj_imgproc::{io as img_io, ImageBuffer, ImgError, Rgb};
 use std::path::Path;
 
@@ -148,13 +149,7 @@ impl FrameBody {
         }
         let whole = rest.len() / 3;
         self.grow(whole);
-        // Destructuring a 3-byte array lets the compiler vectorise the
-        // copy; indexing the chunk runs about 2.5x slower.
-        self.pixels
-            .extend(rest[..whole * 3].chunks_exact(3).map(|c| {
-                let [r, g, b] = c.try_into().expect("chunks of 3");
-                Rgb { r, g, b }
-            }));
+        self.pixels.extend(unpack_rgb(&rest[..whole * 3]));
         let tail = &rest[whole * 3..];
         self.partial[..tail.len()].copy_from_slice(tail);
         self.partial_len = tail.len();
