@@ -5,9 +5,11 @@
 //! Every cell is deterministic — synthetic clip, fault realisation and
 //! GA are all seeded — so the emitted [`EvalReport`] (schema
 //! [`SCHEMA`]) is byte-identical across runs and machines, and can be
-//! diffed in CI like any other artifact. Cells fan out across workers
-//! under the workspace [`Parallelism`] knob; each cell runs its own
-//! pipeline serially, so the thread count changes throughput only.
+//! diffed in CI like any other artifact. Cells fan out across a
+//! [`WorkerPool`] sized by the workspace [`Parallelism`] knob, each free
+//! worker claiming the next cell; each cell runs its own pipeline
+//! serially and writes its own result slot, so the thread count changes
+//! throughput only.
 
 use crate::metrics::{self, FramePoseError, PoseAccuracy};
 use serde::{Deserialize, Serialize};
@@ -15,7 +17,7 @@ use slj::{AnalysisReport, AnalyzerConfig, JumpAnalyzer, RobustnessPolicy};
 use slj_ga::tracker::RecoveryAction;
 use slj_imgproc::mask::Mask;
 use slj_motion::{JumpConfig, Pose};
-use slj_runtime::Parallelism;
+use slj_runtime::{ClaimOrder, Parallelism, WorkerPool};
 use slj_video::{Camera, FaultConfig, FaultInjector, NoiseBurst, SceneConfig, SyntheticJump};
 use std::collections::BTreeMap;
 
@@ -305,29 +307,26 @@ struct CellData {
 /// Runs the full matrix and aggregates the report.
 pub fn run_matrix(config: &MatrixConfig) -> EvalReport {
     let cells = config.cells();
-    let threads = config.parallelism.threads().max(1);
+    let threads = config.parallelism.threads().min(cells.len());
     let mut outcomes: Vec<Option<CellOutcome>> = Vec::new();
     outcomes.resize_with(cells.len(), || None);
+    let run = |i: usize, slot: &mut Option<CellOutcome>| {
+        *slot = Some(run_cell(&cells[i], config.max_degraded_frames));
+    };
 
-    if threads <= 1 || cells.len() <= 1 {
-        for (slot, cell) in outcomes.iter_mut().zip(&cells) {
-            *slot = Some(run_cell(cell, config.max_degraded_frames));
+    if threads <= 1 {
+        for (i, slot) in outcomes.iter_mut().enumerate() {
+            run(i, slot);
         }
     } else {
-        // Disjoint chunks: results land in matrix order, and the thread
-        // count affects throughput only. A panicking worker panics the
-        // caller once every worker has joined.
-        let chunk = cells.len().div_ceil(threads);
-        let cells = &cells;
-        std::thread::scope(|scope| {
-            for (ci, out) in outcomes.chunks_mut(chunk).enumerate() {
-                scope.spawn(move || {
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        *slot = Some(run_cell(&cells[ci * chunk + i], config.max_degraded_frames));
-                    }
-                });
-            }
-        });
+        // Fault profiles differ in cost, so no worker owns a fixed share:
+        // each claims the next cell, in matrix order, when it frees up.
+        // Every cell writes its own slot, so results land in matrix
+        // order whichever thread ran them. A panicking cell panics the
+        // caller once every worker has finished.
+        let mut order = ClaimOrder::default();
+        order.heaviest_first(cells.iter().map(|_| 0));
+        WorkerPool::new(threads).run_each(&mut outcomes, &order, &run);
     }
 
     let outcomes: Vec<CellOutcome> = outcomes

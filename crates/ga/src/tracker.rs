@@ -500,7 +500,12 @@ impl TemporalTracker {
             );
             let run = match evolve(&problem, &ga, &mut rng) {
                 Ok(run) => run,
-                Err(GaError::InitFailed { .. }) => continue,
+                Err(GaError::InitFailed { .. }) => {
+                    // A rung that cannot seed still hands its memo and
+                    // batch buffers back, or the next frame regrows them.
+                    scratch.problems[rung_index] = problem.reclaim();
+                    continue;
+                }
                 Err(e) => return Err(e),
             };
             spent_evaluations += run.evaluations;

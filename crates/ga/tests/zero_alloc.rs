@@ -7,8 +7,11 @@
 //! batch through the same `PoseProblem::fitness_batch` path is asserted
 //! to perform **zero** allocations — through pose projection, the lane
 //! Eq. 3 kernel, the outside-penalty term and the memo inserts.
-//! Separate tests cover the memoised all-hit path and
-//! `PoseProblem::is_valid`.
+//! Separate tests cover the memoised all-hit path,
+//! `PoseProblem::is_valid`, and a tracker stream whose recovery rungs
+//! cannot seed on some frames: those rungs must keep their recycled
+//! memo and batch buffers, so the frames after them allocate nothing
+//! large.
 //!
 //! The counter, shared with the other allocation suites
 //! (`tests/support/counting_alloc.rs`), is read per thread here, so
@@ -17,11 +20,13 @@
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::allocations_during;
+use counting_alloc::{allocations_during, largest_during, LARGE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use slj_ga::engine::Problem;
 use slj_ga::pose_problem::{InitStrategy, PoseProblem, PoseProblemConfig};
+use slj_ga::tracker::{RecoveryAction, TemporalTracker, TrackerConfig};
+use slj_imgproc::mask::Mask;
 use slj_motion::{BodyDims, Pose};
 use slj_video::render::render_silhouette;
 use slj_video::Camera;
@@ -104,4 +109,46 @@ fn validity_test_is_allocation_free() {
         allocations_during(|| repeat.extend(genomes.iter().map(|g| problem.is_valid(g))));
     assert_eq!(delta, 0, "256 validity tests performed {delta} allocations");
     assert_eq!(repeat, verdicts);
+}
+
+#[test]
+fn rungs_that_cannot_seed_keep_their_scratch() {
+    // Frames alternate between the rendered body, which the temporal
+    // rung fits, and a 3x3 speck no stickman can cover: every rung of
+    // the ladder fails to find a valid initial population there. The
+    // body frame after each speck runs rung 0 again on the memo and
+    // batch buffers rung 0 held before the speck.
+    let dims = BodyDims::default();
+    let camera = Camera::compact();
+    let mut pose = Pose::standing(&dims);
+    pose.center.x = 0.6;
+    let body = render_silhouette(&pose, &dims, &camera);
+    let speck = Mask::from_fn(body.width(), body.height(), |x, y| x < 3 && y < 3);
+    let mut stream = TemporalTracker::new(TrackerConfig::fast()).stream(pose, &dims, &camera);
+    let mut pair = || {
+        let fitted = stream.push(&body).unwrap();
+        let unseeded = stream.push(&speck).unwrap();
+        (fitted, unseeded)
+    };
+    // Warm-up: frame 0 and the first pairs grow every buffer.
+    for _ in 0..3 {
+        pair();
+    }
+
+    let (results, largest) = largest_during(|| (0..4).map(|_| pair()).collect::<Vec<_>>());
+    for (fitted, unseeded) in &results {
+        assert_eq!(fitted.recovery, RecoveryAction::None, "{fitted:?}");
+        assert_eq!(unseeded.rungs_attempted, 0, "no rung seeded: {unseeded:?}");
+        assert!(
+            matches!(
+                unseeded.recovery,
+                RecoveryAction::Interpolated | RecoveryAction::CarriedOver
+            ),
+            "{unseeded:?}"
+        );
+    }
+    assert!(
+        largest < LARGE,
+        "steady-state tracking made a {largest}-byte allocation"
+    );
 }

@@ -22,7 +22,7 @@ pub mod backoff;
 pub mod pool;
 
 pub use backoff::{Backoff, BackoffConfig};
-pub use pool::WorkerPool;
+pub use pool::{ClaimOrder, WorkerPool};
 
 /// The number of hardware threads actually available to this process,
 /// via [`std::thread::available_parallelism`] (1 when the runtime

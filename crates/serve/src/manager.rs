@@ -4,21 +4,24 @@
 //! Producers `open` sessions, `offer` frames (learning about
 //! backpressure synchronously via [`OfferReply`]) and `close` clips;
 //! the service `tick`s, which processes at most one frame per session
-//! per tick — in session order serially, or fanned out over a
-//! persistent [`WorkerPool`] sized by the configured [`Parallelism`]
-//! with results merged back in session order, so the event stream,
-//! metrics and analyses are byte-identical at every thread count.
+//! per tick — in session order serially, or on a persistent
+//! [`WorkerPool`] sized by the configured [`Parallelism`], whose free
+//! workers claim sessions one at a time, heaviest step first (a
+//! session going live analyses its whole warm-up backlog). Each session
+//! emits into its own outbox, and the outboxes are merged in session
+//! order after the tick's barrier, so the event stream, metrics and
+//! analyses are byte-identical at every thread count.
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use slj::{AnalyzeError, JumpAnalysis};
 use slj_obs::MetricsRegistry;
-use slj_runtime::{BackoffConfig, Parallelism, WorkerPool};
+use slj_runtime::{BackoffConfig, ClaimOrder, Parallelism, WorkerPool};
 use slj_video::Frame;
 
 use crate::chaos::ServiceFaultPlan;
-use crate::events::{EventKind, HealthEvent};
+use crate::events::HealthEvent;
 use crate::session::{Session, SessionConfig, SessionId, SessionSlot, SessionState};
 
 /// How the per-frame deadline budget is measured.
@@ -63,9 +66,11 @@ pub struct ServeConfig {
     /// The supervisor restart ladder's pacing.
     pub restart: BackoffConfig,
     /// Manager-level fan-out: how many sessions step concurrently per
-    /// tick, on a persistent [`WorkerPool`]. Throughput-only, like
-    /// every `Parallelism` in the workspace; resolved to a thread count
-    /// once, in [`SessionManager::new`].
+    /// tick. It sizes a persistent [`WorkerPool`] whose workers claim
+    /// the tick's sessions one at a time, heaviest step first, so no
+    /// worker idles while another holds several steps. Throughput-only,
+    /// like every `Parallelism` in the workspace; resolved to a thread
+    /// count once, in [`SessionManager::new`].
     pub parallelism: Parallelism,
 }
 
@@ -201,11 +206,14 @@ pub struct SessionManager {
     /// churn does no large allocations. At most `max_sessions`.
     slots: Vec<SessionSlot>,
     aggregate: MetricsRegistry,
-    /// `config.parallelism` resolved once, so the pool and every
-    /// tick's shards are sized from one value.
+    /// `config.parallelism` resolved once: the pool's size, and whether
+    /// a tick fans out at all.
     threads: usize,
     /// Spawned on the first tick that fans out, with `threads` workers.
     workers: Option<WorkerPool>,
+    /// The last fanned-out tick's claim order, kept so every tick
+    /// rebuilds it in place.
+    order: ClaimOrder,
     draining: bool,
 }
 
@@ -224,6 +232,7 @@ impl SessionManager {
             slots: Vec::new(),
             aggregate: MetricsRegistry::default(),
             workers: None,
+            order: ClaimOrder::default(),
             draining: false,
         }
     }
@@ -397,96 +406,71 @@ impl SessionManager {
     /// [`ServeError::UnknownSession`] /
     /// [`ServeError::SessionTerminal`] (aborting twice is the latter).
     pub fn abort(&mut self, id: SessionId, reason: &str) -> Result<(), ServeError> {
-        let tick = self.tick;
-        let session = self.find_mut(id).ok_or(ServeError::UnknownSession { id })?;
-        if session.state().is_terminal() {
+        let index = self
+            .sessions
+            .binary_search_by_key(&id, Session::id)
+            .map_err(|_| ServeError::UnknownSession { id })?;
+        if self.sessions[index].state().is_terminal() {
             return Err(ServeError::SessionTerminal { id });
         }
-        let mut buffer = Vec::new();
-        session.abort(reason, &mut buffer);
-        for (session, kind) in buffer {
-            self.events.push(HealthEvent {
-                seq: self.seq,
-                session,
-                tick,
-                kind,
-            });
-            self.seq += 1;
-        }
+        self.sessions[index].abort(reason);
+        self.publish(index);
         Ok(())
     }
 
     /// One service tick: each live session processes at most one
-    /// queued frame (or finalizes, or accrues idleness), in session
-    /// order — optionally fanned out over the worker pool with
-    /// per-session event buffers merged back in session order.
-    /// Returns how many sessions did work.
+    /// queued frame (or finalizes, or accrues idleness) into its own
+    /// outbox — in session order serially, or claimed heaviest step
+    /// first by the worker pool — and the outboxes are then merged in
+    /// session order. Returns how many sessions did work.
     pub fn tick(&mut self) -> usize {
         self.tick += 1;
-        let tick = self.tick;
-        let threads = self.threads.min(self.sessions.len().max(1));
-        let mut progressed = 0usize;
-        let mut merged: Vec<(SessionId, EventKind)> = Vec::new();
-        if threads <= 1 {
+        let progressed = if self.threads.min(self.sessions.len()) <= 1 {
+            let mut progressed = 0;
             for session in &mut self.sessions {
-                if session.step(&self.config, &self.chaos, &mut merged) {
-                    progressed += 1;
-                }
+                progressed += usize::from(session.step(&self.config, &self.chaos));
             }
+            progressed
         } else {
-            // Contiguous shards, at most one per worker, with per-shard
-            // event buffers concatenated in shard order: exactly the
-            // stream the serial loop produces.
-            struct Shard<'a> {
-                sessions: &'a mut [Session],
-                events: Vec<(SessionId, EventKind)>,
-                progressed: usize,
-            }
+            // Every session is one item, claimed by whichever worker is
+            // free, heaviest step first: a go-live step starts at once
+            // and the other workers fill the tick around it. Sessions
+            // write only their own outboxes, so the claim order and the
+            // thread that steps a session change no output.
             let workers = self
                 .workers
                 .get_or_insert_with(|| WorkerPool::new(self.threads));
-            let chunk_size = self.sessions.len().div_ceil(threads);
-            let config = &self.config;
-            let chaos = &self.chaos;
-            let shards: Vec<Mutex<Shard<'_>>> = self
-                .sessions
-                .chunks_mut(chunk_size)
-                .map(|sessions| {
-                    Mutex::new(Shard {
-                        sessions,
-                        events: Vec::new(),
-                        progressed: 0,
-                    })
-                })
-                .collect();
-            workers.run(shards.len(), &|i| {
-                // Worker i is the only thread that touches shard i, so
-                // the lock is uncontended — it exists to hand the
-                // `&mut` through the shared borrow the pool requires.
-                let mut shard = shards[i].lock().expect("shard lock");
-                let shard = &mut *shard;
-                for session in shard.sessions.iter_mut() {
-                    if session.step(config, chaos, &mut shard.events) {
-                        shard.progressed += 1;
-                    }
+            self.order
+                .heaviest_first(self.sessions.iter().map(Session::step_weight));
+            let (config, chaos) = (&self.config, &self.chaos);
+            let progressed = AtomicUsize::new(0);
+            workers.run_each(&mut self.sessions, &self.order, &|_, session| {
+                if session.step(config, chaos) {
+                    progressed.fetch_add(1, Ordering::Relaxed);
                 }
             });
-            for shard in shards {
-                let shard = shard.into_inner().expect("shard lock");
-                merged.extend(shard.events);
-                progressed += shard.progressed;
-            }
+            progressed.into_inner()
+        };
+        for index in 0..self.sessions.len() {
+            self.publish(index);
         }
-        for (session, kind) in merged {
+        progressed
+    }
+
+    /// Moves a session's outbox onto the event feed, numbering each
+    /// event and stamping it with the current tick.
+    fn publish(&mut self, index: usize) {
+        let session = &mut self.sessions[index];
+        let id = session.id();
+        for kind in session.drain_outbox() {
             self.events.push(HealthEvent {
                 seq: self.seq,
-                session,
-                tick,
+                session: id,
+                tick: self.tick,
                 kind,
             });
             self.seq += 1;
         }
-        progressed
     }
 
     /// Ticks until no session has queued frames, pending finalization
@@ -779,6 +763,57 @@ mod tests {
             m.abort(id2, "gone"),
             Err(ServeError::SessionTerminal { .. })
         ));
+    }
+
+    #[test]
+    fn a_fanned_out_tick_steps_each_session_once_go_live_first() {
+        let mut m = SessionManager::new(scripted(ServeConfig {
+            parallelism: Parallelism::Fixed(2),
+            ..ServeConfig::default()
+        }));
+        let config = SessionConfig {
+            analyzer: AnalyzerConfig::fast().into_streaming(3),
+            ..session_config()
+        };
+        let ids: Vec<SessionId> = (0..4).map(|_| m.open(config.clone()).unwrap()).collect();
+        let frame = Frame::filled(8, 6, slj_imgproc_rgb(40));
+        // Session 0 goes live, session 2 buffers two of its three
+        // warm-up frames, sessions 1 and 3 wait.
+        for _ in 0..3 {
+            m.offer(ids[0], &frame).unwrap();
+        }
+        for _ in 0..2 {
+            m.offer(ids[2], &frame).unwrap();
+        }
+        assert_eq!(m.run_until_idle(), 3);
+        m.drain_events();
+        // Two frames each for sessions 0-2; session 3 stays idle.
+        for &id in &ids[..3] {
+            m.offer(id, &frame).unwrap();
+            m.offer(id, &frame).unwrap();
+        }
+        let weights: Vec<usize> = m.sessions.iter().map(Session::step_weight).collect();
+        assert_eq!(weights, [1, 0, 3, 0], "live, buffering, go-live, idle");
+
+        assert_eq!(m.tick(), 3, "the idle session does no work");
+        // Claimed heaviest first: the go-live step, the live frame,
+        // then the weightless steps in session order.
+        assert_eq!(m.order.indices().collect::<Vec<_>>(), [2, 0, 1, 3]);
+        for &id in &ids[..3] {
+            assert_eq!(m.queue_len(id), Some(1), "session {id} stepped once");
+        }
+        // The events still merge in session order: one frame update per
+        // stepped session, completing 1, 0 and 3 frames.
+        let events = m.drain_events();
+        let updates: Vec<(SessionId, usize, usize)> = events
+            .iter()
+            .map(|e| match &e.kind {
+                EventKind::Frame { update } => (e.session, update.frame, update.completed.len()),
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert_eq!(updates, [(0, 3, 1), (1, 0, 0), (2, 2, 3)]);
+        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1));
     }
 
     #[test]

@@ -86,6 +86,7 @@ pub(crate) struct SessionSlot {
     queue: VecDeque<QueuedFrame>,
     retained: Vec<Frame>,
     spares: Vec<Frame>,
+    outbox: Vec<EventKind>,
 }
 
 /// One supervised session. Crate-private: the manager is the API.
@@ -126,6 +127,10 @@ pub(crate) struct Session {
     /// Bound on `spares`: the most frames the session can hold at once
     /// (queue + replay buffer + one in flight).
     spare_cap: usize,
+    /// Health events emitted since the manager last merged them, in
+    /// emission order. Each session writes only its own, so the merge
+    /// in session order is the same whichever thread stepped it.
+    outbox: Vec<EventKind>,
 }
 
 impl Session {
@@ -155,6 +160,7 @@ impl Session {
         slot.retained.reserve(replay);
         slot.queue.clear();
         slot.queue.reserve(serve.queue_depth);
+        slot.outbox.clear();
         Ok(Session {
             id,
             policy: config.analyzer.robustness,
@@ -181,6 +187,7 @@ impl Session {
             scratch: None,
             spares: slot.spares,
             spare_cap: serve.queue_depth + replay + 1,
+            outbox: slot.outbox,
             config,
         })
     }
@@ -212,6 +219,7 @@ impl Session {
             queue: self.queue,
             retained: self.retained,
             spares: self.spares,
+            outbox: self.outbox,
         };
         (slot, self.metrics)
     }
@@ -246,6 +254,25 @@ impl Session {
 
     pub(crate) fn take_result(&mut self) -> Option<Result<JumpAnalysis, AnalyzeError>> {
         self.result.take()
+    }
+
+    /// Takes the health events emitted since the last call, in order.
+    pub(crate) fn drain_outbox(&mut self) -> std::vec::Drain<'_, EventKind> {
+        self.outbox.drain(..)
+    }
+
+    /// How many frames the next [`Session::step`] will analyse: the
+    /// warm-up backlog on the step that goes live, 1 for a live frame,
+    /// 0 while buffering, idle, cooling down or finalizing. The manager
+    /// claims heavier steps first; the weight never changes what a step
+    /// computes.
+    pub(crate) fn step_weight(&self) -> usize {
+        match &self.analyzer {
+            Some(analyzer) if self.cooldown == 0 && !self.queue.is_empty() => {
+                analyzer.next_push_completes()
+            }
+            _ => 0,
+        }
     }
 
     /// Offers one frame: copies it into the queue (into a spare buffer
@@ -296,12 +323,7 @@ impl Session {
     /// One supervisor tick for this session: process a queued frame,
     /// finalize a drained closed clip, or account idleness. Returns
     /// whether the session did (or is still pacing toward) work.
-    pub(crate) fn step(
-        &mut self,
-        serve: &ServeConfig,
-        chaos: &ServiceFaultPlan,
-        out: &mut Vec<(SessionId, EventKind)>,
-    ) -> bool {
+    pub(crate) fn step(&mut self, serve: &ServeConfig, chaos: &ServiceFaultPlan) -> bool {
         if self.state.is_terminal() {
             return false;
         }
@@ -311,20 +333,20 @@ impl Session {
         }
         let Some(queued) = self.queue.pop_front() else {
             if self.closed {
-                self.finalize(out);
+                self.finalize();
                 return true;
             }
-            self.observe_idle(serve, out);
+            self.observe_idle(serve);
             return false;
         };
         self.idle_ticks = 0;
-        self.process(queued, serve, chaos, out);
+        self.process(queued, serve, chaos);
         true
     }
 
     /// Counts idle ticks against an open producer; a full stall window
     /// is a strike, and running out of strikes quarantines the session.
-    fn observe_idle(&mut self, serve: &ServeConfig, out: &mut Vec<(SessionId, EventKind)>) {
+    fn observe_idle(&mut self, serve: &ServeConfig) {
         if serve.stall_ticks == 0 {
             return;
         }
@@ -333,15 +355,12 @@ impl Session {
             self.idle_ticks = 0;
             self.stall_strikes += 1;
             self.metrics.inc(serve_keys::STALLS, 1);
-            out.push((
-                self.id,
-                EventKind::Stalled {
-                    idle_ticks: serve.stall_ticks,
-                    strikes: self.stall_strikes,
-                },
-            ));
+            self.outbox.push(EventKind::Stalled {
+                idle_ticks: serve.stall_ticks,
+                strikes: self.stall_strikes,
+            });
             if self.stall_strikes >= serve.stall_strikes {
-                self.quarantine("stalled producer", out);
+                self.quarantine("stalled producer");
             }
         }
     }
@@ -349,13 +368,7 @@ impl Session {
     /// Runs one frame's analysis step under `catch_unwind` and the
     /// deadline budget, then routes the outcome: success, typed
     /// shape-reject, typed hard failure, or panic → restart ladder.
-    fn process(
-        &mut self,
-        queued: QueuedFrame,
-        serve: &ServeConfig,
-        chaos: &ServiceFaultPlan,
-        out: &mut Vec<(SessionId, EventKind)>,
-    ) {
+    fn process(&mut self, queued: QueuedFrame, serve: &ServeConfig, chaos: &ServiceFaultPlan) {
         let ordinal = queued.ordinal;
         let poisoned = chaos.is_poisoned(self.id, ordinal);
         let analyzer = self.analyzer.as_mut().expect("live session has analyzer");
@@ -376,7 +389,7 @@ impl Session {
             Ok(Ok(update)) => {
                 self.metrics.inc(serve_keys::FRAMES, 1);
                 let frame_degraded = update.completed.iter().filter(|h| h.is_degraded()).count();
-                out.push((self.id, EventKind::Frame { update }));
+                self.outbox.push(EventKind::Frame { update });
                 self.retained.push(queued.frame);
                 if self.retained.len() >= serve.checkpoint_interval.max(1) {
                     self.checkpoint = self
@@ -394,44 +407,35 @@ impl Session {
                 }
                 if serve.frame_deadline > 0 && cost > serve.frame_deadline {
                     self.metrics.inc(serve_keys::DEADLINE_MISSES, 1);
-                    out.push((
-                        self.id,
-                        EventKind::DeadlineMiss {
-                            ordinal,
-                            cost,
-                            budget: serve.frame_deadline,
-                        },
-                    ));
-                    self.charge_degraded(1, serve, out);
+                    self.outbox.push(EventKind::DeadlineMiss {
+                        ordinal,
+                        cost,
+                        budget: serve.frame_deadline,
+                    });
+                    self.charge_degraded(1, serve);
                 }
                 if frame_degraded > 0 {
-                    self.charge_degraded(frame_degraded, serve, out);
+                    self.charge_degraded(frame_degraded, serve);
                 }
             }
             Ok(Err(AnalyzeError::FrameShapeMismatch { expected, got, .. })) => {
                 // Typed reject: the analyzer state is untouched; drop
                 // the alien frame and keep going.
                 self.metrics.inc(serve_keys::REJECTED, 1);
-                out.push((
-                    self.id,
-                    EventKind::FrameRejected {
-                        ordinal,
-                        expected,
-                        got,
-                    },
-                ));
-                self.charge_degraded(1, serve, out);
+                self.outbox.push(EventKind::FrameRejected {
+                    ordinal,
+                    expected,
+                    got,
+                });
+                self.charge_degraded(1, serve);
             }
             Ok(Err(error)) => {
                 // A typed mid-stream hard failure (segmentation or
                 // tracking): terminal, with the error preserved for the
                 // client — never silent garbage.
-                out.push((
-                    self.id,
-                    EventKind::Failed {
-                        error: error.to_string(),
-                    },
-                ));
+                self.outbox.push(EventKind::Failed {
+                    error: error.to_string(),
+                });
                 self.state = SessionState::Failed;
                 self.result = Some(Err(error));
                 if let Some(analyzer) = self.analyzer.take() {
@@ -442,12 +446,12 @@ impl Session {
             Err(payload) => {
                 self.metrics.inc(serve_keys::PANICS, 1);
                 let message = panic_message(payload.as_ref());
-                out.push((self.id, EventKind::Panicked { ordinal, message }));
+                self.outbox.push(EventKind::Panicked { ordinal, message });
                 // The poisoned frame is dropped (it is not retained),
                 // so a checkpoint replay cannot re-trip it.
-                self.charge_degraded(1, serve, out);
+                self.charge_degraded(1, serve);
                 if !self.state.is_terminal() {
-                    self.crash_restart(out);
+                    self.crash_restart();
                 }
             }
         }
@@ -455,7 +459,7 @@ impl Session {
 
     /// Walks one rung of the restart ladder after a caught panic:
     /// checkpoint restore + replay, then cold restart, then quarantine.
-    fn crash_restart(&mut self, out: &mut Vec<(SessionId, EventKind)>) {
+    fn crash_restart(&mut self) {
         let rung = self.backoff.attempt();
         let delay = self.backoff.next_delay();
         self.clean_streak = 0;
@@ -482,23 +486,20 @@ impl Session {
                     Ok(Ok(analyzer)) => {
                         self.analyzer = Some(analyzer);
                         self.metrics.inc(serve_keys::RESTARTS, 1);
-                        out.push((
-                            self.id,
-                            EventKind::Restarted {
-                                mode: RestartMode::Checkpoint { replayed },
-                                delay,
-                            },
-                        ));
+                        self.outbox.push(EventKind::Restarted {
+                            mode: RestartMode::Checkpoint { replayed },
+                            delay,
+                        });
                     }
                     // The replay itself failed (it succeeded once, so
                     // this means real state corruption): skip straight
                     // to the cold rung within the same crash.
-                    _ => self.cold_restart(delay, out),
+                    _ => self.cold_restart(delay),
                 }
             }
-            1 => self.cold_restart(delay, out),
+            1 => self.cold_restart(delay),
             _ => {
-                self.quarantine("panic ladder exhausted", out);
+                self.quarantine("panic ladder exhausted");
                 return;
             }
         }
@@ -507,7 +508,7 @@ impl Session {
 
     /// A fresh analyzer from the session config: earlier frames are
     /// lost, the escalated policy (if any) carries over.
-    fn cold_restart(&mut self, delay: u64, out: &mut Vec<(SessionId, EventKind)>) {
+    fn cold_restart(&mut self, delay: u64) {
         let salvaged = self
             .analyzer
             .take()
@@ -528,24 +529,16 @@ impl Session {
         }
         self.analyzer = Some(analyzer);
         self.metrics.inc(serve_keys::RESTARTS, 1);
-        out.push((
-            self.id,
-            EventKind::Restarted {
-                mode: RestartMode::Cold,
-                delay,
-            },
-        ));
+        self.outbox.push(EventKind::Restarted {
+            mode: RestartMode::Cold,
+            delay,
+        });
     }
 
     /// Charges degraded frames against the budget; crossing
     /// `escalate_after` relaxes the robustness policy once, crossing
     /// `trip_after` trips the circuit breaker (terminal).
-    fn charge_degraded(
-        &mut self,
-        count: usize,
-        serve: &ServeConfig,
-        out: &mut Vec<(SessionId, EventKind)>,
-    ) {
+    fn charge_degraded(&mut self, count: usize, serve: &ServeConfig) {
         self.degraded += count;
         self.metrics.inc(serve_keys::DEGRADED, count as u64);
         if !self.escalated && self.degraded >= serve.escalate_after {
@@ -556,40 +549,31 @@ impl Session {
             if let Some(analyzer) = self.analyzer.as_mut() {
                 analyzer.set_robustness(self.policy);
             }
-            out.push((
-                self.id,
-                EventKind::PolicyEscalated {
-                    degraded: self.degraded,
-                    allowance: serve.trip_after,
-                },
-            ));
+            self.outbox.push(EventKind::PolicyEscalated {
+                degraded: self.degraded,
+                allowance: serve.trip_after,
+            });
         }
         if self.degraded >= serve.trip_after && !self.state.is_terminal() {
-            out.push((
-                self.id,
-                EventKind::CircuitBreakerTripped {
-                    degraded: self.degraded,
-                    allowance: serve.trip_after,
-                },
-            ));
-            self.quarantine("circuit breaker", out);
+            self.outbox.push(EventKind::CircuitBreakerTripped {
+                degraded: self.degraded,
+                allowance: serve.trip_after,
+            });
+            self.quarantine("circuit breaker");
         }
     }
 
     /// The manager's disconnect hook: quarantines a live session so it
     /// can be retired (the ingress layer's "producer vanished" path).
-    pub(crate) fn abort(&mut self, reason: &str, out: &mut Vec<(SessionId, EventKind)>) {
-        self.quarantine(reason, out);
+    pub(crate) fn abort(&mut self, reason: &str) {
+        self.quarantine(reason);
     }
 
     /// Terminal removal from service; frees the session's memory.
-    fn quarantine(&mut self, reason: &str, out: &mut Vec<(SessionId, EventKind)>) {
-        out.push((
-            self.id,
-            EventKind::Quarantined {
-                reason: reason.to_owned(),
-            },
-        ));
+    fn quarantine(&mut self, reason: &str) {
+        self.outbox.push(EventKind::Quarantined {
+            reason: reason.to_owned(),
+        });
         self.state = SessionState::Quarantined {
             reason: reason.to_owned(),
         };
@@ -601,39 +585,33 @@ impl Session {
 
     /// Closes the clip: `finish()` under `catch_unwind` (scoring is
     /// analyzer code too), producing the terminal event either way.
-    fn finalize(&mut self, out: &mut Vec<(SessionId, EventKind)>) {
+    fn finalize(&mut self) {
         let analyzer = self.analyzer.take().expect("live session has analyzer");
         match catch_unwind(AssertUnwindSafe(|| analyzer.finish_reclaimed())) {
             Ok((Ok(analysis), scratch)) => {
                 self.scratch = Some(scratch);
-                out.push((
-                    self.id,
-                    EventKind::Finished {
-                        frames: analysis.health.len(),
-                        score: analysis.score.score() as u32,
-                        degraded: self.degraded,
-                    },
-                ));
+                self.outbox.push(EventKind::Finished {
+                    frames: analysis.health.len(),
+                    score: analysis.score.score() as u32,
+                    degraded: self.degraded,
+                });
                 self.state = SessionState::Finished;
                 self.result = Some(Ok(analysis));
             }
             Ok((Err(error), scratch)) => {
                 self.scratch = Some(scratch);
-                out.push((
-                    self.id,
-                    EventKind::Failed {
-                        error: error.to_string(),
-                    },
-                ));
+                self.outbox.push(EventKind::Failed {
+                    error: error.to_string(),
+                });
                 self.state = SessionState::Failed;
                 self.result = Some(Err(error));
             }
             Err(payload) => {
                 self.metrics.inc(serve_keys::PANICS, 1);
-                self.quarantine(
-                    &format!("finish panicked: {}", panic_message(payload.as_ref())),
-                    out,
-                );
+                self.quarantine(&format!(
+                    "finish panicked: {}",
+                    panic_message(payload.as_ref())
+                ));
             }
         }
         self.recycle_buffers();

@@ -345,6 +345,22 @@ impl StreamingAnalyzer {
         self.frames_pushed
     }
 
+    /// How many entries the next successful
+    /// [`push_frame`](StreamingAnalyzer::push_frame) will put in
+    /// [`FrameUpdate::completed`]: 0 while it only buffers, the whole
+    /// warm-up backlog (the frame it pushes included) when it fills the
+    /// warm-up window, and 1 once live. A scheduler's measure of how
+    /// much analysis the next push costs.
+    pub fn next_push_completes(&self) -> usize {
+        if self.live.is_some() {
+            1
+        } else if self.pending.len() + 1 >= self.warmup {
+            self.pending.len() + 1
+        } else {
+            0
+        }
+    }
+
     /// Replaces the robustness policy applied at
     /// [`finish`](StreamingAnalyzer::finish). Robustness is only read
     /// when the clip closes, so a supervisor may relax the policy

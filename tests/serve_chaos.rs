@@ -8,9 +8,10 @@
 //!
 //! * healthy sessions produce analyses **byte-identical** to a direct
 //!   unsupervised [`StreamingAnalyzer`] run of the same clip, at
-//!   `Serial`, `Fixed(4)` and `Auto` manager parallelism alike (and the
-//!   whole event stream and per-session metrics are identical across
-//!   those settings too);
+//!   `Serial`, `Fixed(3)`, `Fixed(4)` and `Auto` manager parallelism
+//!   alike (and the whole event stream and per-session metrics are
+//!   identical across those settings too; `Fixed(3)` splits the soak's
+//!   ten sessions unevenly between workers);
 //! * every crashed session either resumes from its checkpoint (frame
 //!   updates strictly increasing — no replayed duplicates reach the
 //!   client) or terminates with a typed health event;
@@ -198,7 +199,11 @@ fn soak_poisoned_and_stalled_sessions_never_corrupt_healthy_ones() {
     let reference = reference_run(&streamable_fast(), &jump, &scene.camera);
 
     let serial = soak_run(Parallelism::Serial, &jump, &scene.camera);
-    for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
+    for parallelism in [
+        Parallelism::Fixed(3),
+        Parallelism::Fixed(4),
+        Parallelism::Auto,
+    ] {
         let run = soak_run(parallelism, &jump, &scene.camera);
         assert_eq!(
             serial.0, run.0,
@@ -578,7 +583,11 @@ fn session_churn_reuses_slots_byte_identically_and_bounds_metrics() {
 
     let serial = churn_run(Parallelism::Serial, &jump, &scene.camera);
     // Churn must stay deterministic across the fan-out settings.
-    for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
+    for parallelism in [
+        Parallelism::Fixed(3),
+        Parallelism::Fixed(4),
+        Parallelism::Auto,
+    ] {
         let run = churn_run(parallelism, &jump, &scene.camera);
         assert_eq!(serial.0, run.0, "{parallelism}: events differ");
         assert_eq!(serial.1, run.1, "{parallelism}: analyses differ");

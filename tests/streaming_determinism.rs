@@ -406,3 +406,40 @@ fn finish_with_warmup_minus_one_frames_degrades_to_backlog_background() {
         .to_analysis();
     assert_eq!(batch, streamed, "warmup-1 backlog: streaming != batch");
 }
+
+#[test]
+fn next_push_completes_predicts_every_push() {
+    // Before every push, the analyzer says how many frames that push
+    // will complete: 0 while buffering, the whole backlog on the push
+    // that fills the warm-up window, 1 once live. A clip shorter than
+    // the window only ever buffers.
+    let scene = SceneConfig {
+        camera: Camera::compact(),
+        ..SceneConfig::clean()
+    };
+    let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 85);
+    let first = jump.poses.poses()[0];
+    for warmup in 2..=14 {
+        let config = AnalyzerConfig::fast().into_streaming(warmup);
+        // Two live pushes past the window, and one push short of it.
+        for frames in [warmup + 2, warmup - 1] {
+            let mut stream = StreamingAnalyzer::new(config.clone(), &scene.camera, first, 10.0)
+                .expect("config is streamable");
+            for (k, frame) in jump.video.iter().take(frames).enumerate() {
+                let predicted = stream.next_push_completes();
+                let update = stream.push_frame(frame).expect("push should succeed");
+                assert_eq!(
+                    predicted,
+                    update.completed.len(),
+                    "warm-up {warmup}, {frames}-frame clip, push {k}"
+                );
+                let expected = match k + 1 {
+                    pushed if pushed < warmup => 0,
+                    pushed if pushed == warmup => warmup,
+                    _ => 1,
+                };
+                assert_eq!(predicted, expected, "warm-up {warmup}, push {k}");
+            }
+        }
+    }
+}
