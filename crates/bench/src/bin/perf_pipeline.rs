@@ -2,21 +2,20 @@
 //! `BENCH_pipeline.json`.
 //!
 //! Two sections on the standard 20-frame synthetic clip (320×240,
-//! default scene, seed 5):
+//! default scene, seed 5), each timed on the caller's thread — one
+//! analysis never fans out:
 //!
-//! **pipeline** times two layers under two configurations, `serial`
-//! (one thread) and `parallel` (`--threads` GA workers, default 4,
-//! clamped to the host's `available_parallelism`):
+//! **pipeline** times two layers:
 //!
 //! * **tracking** — `TemporalTracker::track` alone, on pre-segmented
 //!   silhouettes;
 //! * **analyze** — the full `JumpAnalyzer::analyze` (background +
 //!   segmentation + tracking + scoring).
 //!
-//! Before any clock starts, the section asserts that tracking yields
-//! bit-identical poses and fitness values at Serial, Fixed(4) and Auto
-//! parallelism, and that both configurations produce the identical
-//! analysis; `"identical": true` records that.
+//! Before any clock starts, the section asserts that tracking alone
+//! reproduces the full analysis's tracking bit for bit — poses, fitness
+//! values and search diagnostics — so the two timings measure the same
+//! GA work; `"identical": true` records that.
 //!
 //! **segmentation** times the Section-2 pipeline once, since no
 //! analyzer setting changes it: the background estimate (Step 1) and
@@ -28,10 +27,7 @@
 //! the timed loop is asserted to reproduce `SegmentPipeline::run`'s
 //! stage masks for every frame.
 //!
-//! Configurations whose thread request exceeded the host's cores carry
-//! `"clamped": true` in the JSON and a warning in the console summary:
-//! their parallel timings understate what a wider machine would show.
-//! The JSON schema (`slj-perf-pipeline/5`) is documented in DESIGN.md
+//! The JSON schema (`slj-perf-pipeline/6`) is documented in DESIGN.md
 //! §9.
 //!
 //! Usage:
@@ -39,13 +35,12 @@
 //! ```sh
 //! cargo run --release -p slj-bench --bin perf_pipeline            # full
 //! cargo run --release -p slj-bench --bin perf_pipeline -- --quick # CI smoke
-//! cargo run --release -p slj-bench --bin perf_pipeline -- --threads 8
 //! ```
 
 use serde::Serialize;
 use slj::prelude::*;
 use slj_bench::{banner, f1, print_table};
-use slj_ga::tracker::TrackingRun;
+use slj_ga::tracker::TrackResult;
 use slj_imgproc::mask::Mask;
 use slj_runtime::available_threads;
 use slj_segment::background::BackgroundEstimator;
@@ -71,27 +66,14 @@ struct ClipInfo {
     scene: &'static str,
 }
 
-/// One configuration's layer timings, milliseconds (best of `repeats`).
-#[derive(Debug, Clone, Serialize)]
-struct ConfigReport {
-    name: &'static str,
-    /// The thread count the configuration asked for.
-    threads_requested: usize,
-    /// The count actually used after clamping to the host.
-    threads: usize,
-    /// `true` when the host had fewer cores than requested — the
-    /// parallel timings understate a wider machine.
-    clamped: bool,
-    tracking_ms: f64,
-    analyze_ms: f64,
-}
-
-/// The pipeline section.
+/// The pipeline section: layer timings, milliseconds (best of
+/// `repeats`).
 #[derive(Debug, Serialize)]
 struct PipelineSection {
-    configs: Vec<ConfigReport>,
-    /// Tracking poses and fitness values bit-identical at Serial /
-    /// Fixed(4) / Auto, and one analysis across configs (asserted).
+    tracking_ms: f64,
+    analyze_ms: f64,
+    /// Tracking alone reproduced the full analysis's tracking bit for
+    /// bit (asserted).
     identical: bool,
 }
 
@@ -133,33 +115,6 @@ struct BenchReport {
     segmentation: SegmentationSection,
 }
 
-struct Variant {
-    name: &'static str,
-    threads_requested: usize,
-    parallelism: Parallelism,
-}
-
-fn variants(requested: usize, resolved: usize) -> [Variant; 2] {
-    [
-        Variant {
-            name: "serial",
-            threads_requested: 1,
-            parallelism: Parallelism::Serial,
-        },
-        Variant {
-            name: "parallel",
-            threads_requested: requested,
-            parallelism: Parallelism::Fixed(resolved),
-        },
-    ]
-}
-
-fn analyzer_config(base: &AnalyzerConfig, v: &Variant) -> AnalyzerConfig {
-    let mut cfg = base.clone();
-    cfg.parallelism = v.parallelism;
-    cfg
-}
-
 /// Best-of-`repeats` wall time of `work`, milliseconds, with the best
 /// run's output.
 fn time_ms<T>(repeats: usize, mut work: impl FnMut() -> T) -> (f64, T) {
@@ -177,25 +132,21 @@ fn time_ms<T>(repeats: usize, mut work: impl FnMut() -> T) -> (f64, T) {
 
 /// Asserts two tracking runs are bit-identical: same pose genes, same
 /// fitness bits, same search diagnostics, frame by frame.
-fn assert_tracks_identical(reference: &TrackingRun, other: &TrackingRun, what: &str) {
-    assert_eq!(
-        reference.frames.len(),
-        other.frames.len(),
-        "{what}: frame count diverged"
-    );
-    for (k, (r, o)) in reference.frames.iter().zip(&other.frames).enumerate() {
+fn assert_tracks_identical(reference: &[TrackResult], other: &[TrackResult]) {
+    assert_eq!(reference.len(), other.len(), "frame count diverged");
+    for (k, (r, o)) in reference.iter().zip(other).enumerate() {
         assert_eq!(
             r.pose.to_genes().map(f64::to_bits),
             o.pose.to_genes().map(f64::to_bits),
-            "{what}: pose bits diverged, frame {k}"
+            "pose bits diverged, frame {k}"
         );
         assert_eq!(
             r.fitness.to_bits(),
             o.fitness.to_bits(),
-            "{what}: fitness bits diverged, frame {k}"
+            "fitness bits diverged, frame {k}"
         );
     }
-    assert_eq!(reference.frames, other.frames, "{what}: results diverged");
+    assert_eq!(reference, other, "results diverged");
 }
 
 fn run_pipeline_section(
@@ -203,80 +154,34 @@ fn run_pipeline_section(
     jump: &SyntheticJump,
     scene: &SceneConfig,
     repeats: usize,
-    threads_requested: usize,
-    threads_resolved: usize,
 ) -> PipelineSection {
     let first_pose = jump.poses.poses()[0];
-    let variants = variants(threads_requested, threads_resolved);
-
-    // Correctness first, before any clock starts: parallelism is a
-    // throughput setting, so tracking must reproduce the serial run bit
-    // for bit — poses AND fitness values — at every policy, and every
-    // configuration must produce the identical analysis.
-    let silhouettes: Vec<Mask> = SegmentPipeline::new(base.segmentation.clone())
-        .run(&jump.video)
-        .expect("segmentation")
-        .frames
-        .iter()
-        .map(|s| s.final_mask.clone())
-        .collect();
-    let track = |parallelism: Parallelism| {
-        TemporalTracker::new(TrackerConfig {
-            parallelism,
-            ..base.tracker
-        })
-        .track(&silhouettes, first_pose, &base.dims, &scene.camera)
-        .expect("tracking")
-    };
-    let reference = track(Parallelism::Serial);
-    for (what, parallelism) in [
-        ("fixed4", Parallelism::Fixed(4)),
-        ("auto", Parallelism::Auto),
-    ] {
-        assert_tracks_identical(&reference, &track(parallelism), what);
-    }
-    let analyze = |v: &Variant| {
-        JumpAnalyzer::new(analyzer_config(base, v))
+    let analyzer = JumpAnalyzer::new(base.clone());
+    let analyze = || {
+        analyzer
             .analyze(&jump.video, &scene.camera, first_pose)
             .expect("analysis")
     };
-    let reference = analyze(&variants[0]);
-    for v in &variants[1..] {
-        let report = analyze(v);
-        assert_eq!(reference.poses, report.poses, "{}: poses diverged", v.name);
-        assert_eq!(reference.score, report.score, "{}: score diverged", v.name);
-        assert_eq!(
-            reference.health, report.health,
-            "{}: health diverged",
-            v.name
-        );
-    }
 
-    let mut configs = Vec::new();
-    for v in &variants {
-        // Tracking alone, on the already-segmented masks.
-        let (tracking_ms, _) = time_ms(repeats, || track(v.parallelism));
+    // Correctness first, before any clock starts: tracking alone, on
+    // the analysis's own silhouettes, must reproduce the analysis's
+    // tracking bit for bit — poses AND fitness values — so both layers
+    // time the same GA work.
+    let reference = analyze();
+    let silhouettes: Vec<Mask> = reference.silhouettes().into_iter().cloned().collect();
+    let tracker = TemporalTracker::new(base.tracker);
+    let track = || {
+        tracker
+            .track(&silhouettes, first_pose, &base.dims, &scene.camera)
+            .expect("tracking")
+    };
+    assert_tracks_identical(&reference.tracking, &track().frames);
 
-        // The full analysis.
-        let analyzer = JumpAnalyzer::new(analyzer_config(base, v));
-        let (analyze_ms, _) = time_ms(repeats, || {
-            analyzer
-                .analyze(&jump.video, &scene.camera, first_pose)
-                .expect("analysis")
-        });
-
-        configs.push(ConfigReport {
-            name: v.name,
-            threads_requested: v.threads_requested,
-            threads: v.parallelism.threads(),
-            clamped: v.parallelism.threads() < v.threads_requested,
-            tracking_ms,
-            analyze_ms,
-        });
-    }
-
+    let (tracking_ms, _) = time_ms(repeats, track);
+    let (analyze_ms, _) = time_ms(repeats, analyze);
     PipelineSection {
-        configs,
+        tracking_ms,
+        analyze_ms,
         identical: true,
     }
 }
@@ -369,42 +274,20 @@ fn run_segmentation_section(
 
 fn main() {
     let mut quick = false;
-    let mut threads_requested = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--threads" => {
-                threads_requested = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads takes an integer");
-            }
-            other => panic!("unknown argument {other}: expected --quick or --threads N"),
+            other => panic!("unknown argument {other}: expected --quick"),
         }
     }
-    // Oversubscribing a CPU-bound stage only adds scheduler churn, so
-    // the requested worker count is clamped to the host's cores and
-    // both numbers land in the JSON.
-    let threads_resolved = threads_requested.min(available_threads()).max(1);
 
     let (mode, repeats, base) = if quick {
         ("quick", 1, AnalyzerConfig::fast())
     } else {
         ("full", 3, AnalyzerConfig::default())
     };
-    banner("Perf", "pipeline timings: serial vs worker threads", SEED);
-    println!(
-        "   mode {mode}, {repeats} repeat(s), {threads_requested} worker threads requested \
-         ({threads_resolved} after host clamp)\n"
-    );
-    if threads_resolved < threads_requested {
-        println!(
-            "   warning: host has only {} thread(s); parallel configurations are \
-             clamped and carry \"clamped\": true in the JSON\n",
-            available_threads()
-        );
-    }
+    banner("Perf", "tracking, analysis and segmentation timings", SEED);
+    println!("   mode {mode}, {repeats} repeat(s)\n");
 
     let scene = SceneConfig::default();
     let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), SEED);
@@ -416,38 +299,14 @@ fn main() {
         scene: "default",
     };
 
-    let pipeline = run_pipeline_section(
-        &base,
-        &jump,
-        &scene,
-        repeats,
-        threads_requested,
-        threads_resolved,
-    );
+    let pipeline = run_pipeline_section(&base, &jump, &scene, repeats);
     let segmentation = run_segmentation_section(&base, &jump, repeats);
 
-    let rows: Vec<Vec<String>> = pipeline
-        .configs
-        .iter()
-        .map(|c| {
-            vec![
-                c.name.to_owned(),
-                format!("{}{}", c.threads, if c.clamped { "*" } else { "" }),
-                f1(c.tracking_ms),
-                f1(c.analyze_ms),
-            ]
-        })
-        .collect();
-    print_table(&["config", "threads", "track ms", "analyze ms"], &rows);
-    println!(
-        "\n(tracking bit-identical at Serial / Fixed(4) / Auto and one analysis across \
-         configurations{})\n",
-        if pipeline.configs.iter().any(|c| c.clamped) {
-            "; * = thread request clamped to the host"
-        } else {
-            ""
-        }
+    print_table(
+        &["track ms", "analyze ms"],
+        &[vec![f1(pipeline.tracking_ms), f1(pipeline.analyze_ms)]],
     );
+    println!("\n(tracking alone bit-identical to the analysis's tracking)\n");
 
     let s = &segmentation;
     print_table(
@@ -471,7 +330,7 @@ fn main() {
     );
 
     let report = BenchReport {
-        schema: "slj-perf-pipeline/5",
+        schema: "slj-perf-pipeline/6",
         mode,
         clip,
         repeats,

@@ -28,6 +28,17 @@ fn write_output(path: &str, contents: &str) -> Result<(), CliError> {
     })
 }
 
+/// The `--threads` flag of `serve`, `daemon` and `eval`: how many
+/// sessions or eval cells run at once. Defaults to one per core.
+fn threads(flags: &Flags) -> Result<Parallelism, CliError> {
+    match flags.value("threads") {
+        None => Ok(Parallelism::Auto),
+        Some(raw) => raw
+            .parse()
+            .map_err(|e| CliError::Usage(format!("--threads: {e}"))),
+    }
+}
+
 /// `slj synth` — render a synthetic clip with ground truth.
 pub fn synth<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     let flags = Flags::parse(
@@ -113,7 +124,6 @@ pub fn analyze<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
             "report-md",
             "inject-faults",
             "max-degraded",
-            "threads",
             "warmup",
             "trace",
         ],
@@ -127,15 +137,6 @@ pub fn analyze<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         ],
     )?;
     let clip_dir = flags.required("clip")?.to_owned();
-    // Worker threads for GA fitness evaluation. Defaults to one per
-    // core; results are bit-identical at any setting, so this is safe
-    // to leave on auto.
-    let parallelism = match flags.value("threads") {
-        None => Parallelism::Auto,
-        Some(raw) => raw
-            .parse::<Parallelism>()
-            .map_err(|e| CliError::Usage(format!("--threads: {e}")))?,
-    };
     if flags.switch("fast") && flags.switch("paper") {
         return Err(CliError::Usage("--fast and --paper are exclusive".into()));
     }
@@ -200,7 +201,6 @@ pub fn analyze<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         AnalyzerConfig::default()
     };
     config.dims = truth.dims.clone();
-    config.parallelism = parallelism;
     if flags.switch("best-effort") {
         // Default budget: a quarter of the clip may degrade before the
         // analysis gives up entirely.
@@ -338,7 +338,7 @@ pub fn analyze<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
 
     // Observability: the deterministic metrics block and the JSONL
     // trace are derived from the same span data and are byte-identical
-    // at every --threads setting.
+    // run to run.
     if flags.switch("metrics") {
         write!(out, "{}", analysis.obs.metrics().render())?;
     }
@@ -404,12 +404,7 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         return Err(CliError::Usage("--queue-depth must be at least 1".into()));
     }
     let frame_deadline: u64 = flags.get_or("frame-deadline-ms", 0)?;
-    let parallelism = match flags.value("threads") {
-        None => Parallelism::Auto,
-        Some(raw) => raw
-            .parse::<Parallelism>()
-            .map_err(|e| CliError::Usage(format!("--threads: {e}")))?,
-    };
+    let parallelism = threads(&flags)?;
     if flags.value("max-degraded").is_some() && !flags.switch("best-effort") {
         return Err(CliError::Usage(
             "--max-degraded only makes sense with --best-effort".into(),
@@ -430,9 +425,6 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         AnalyzerConfig::default()
     };
     config.dims = truth.dims.clone();
-    // Concurrency lives at the manager (whole sessions step in
-    // parallel); each session's analyzer stays serial inside its step.
-    config.parallelism = Parallelism::Serial;
     if flags.switch("best-effort") {
         let max_degraded: usize = flags.get_or("max-degraded", video.len().div_ceil(4))?;
         config.robustness = RobustnessPolicy::BestEffort {
@@ -593,12 +585,7 @@ fn daemon_config(
     if config.serve.queue_depth == 0 {
         return Err(CliError::Usage("--queue-depth must be at least 1".into()));
     }
-    config.serve.parallelism = match flags.value("threads") {
-        None => Parallelism::Auto,
-        Some(raw) => raw
-            .parse::<Parallelism>()
-            .map_err(|e| CliError::Usage(format!("--threads: {e}")))?,
-    };
+    config.serve.parallelism = threads(&flags)?;
     let max_frame_mb: usize = flags.get_or("max-frame-mb", 0)?;
     if max_frame_mb > 0 {
         config.max_frame = max_frame_mb * 1024 * 1024;
@@ -816,12 +803,7 @@ pub fn eval<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
             "one of --matrix small|full or --sweep is required".into(),
         ));
     }
-    let parallelism = match flags.value("threads") {
-        None => Parallelism::Auto,
-        Some(raw) => raw
-            .parse::<Parallelism>()
-            .map_err(|e| CliError::Usage(format!("--threads: {e}")))?,
-    };
+    let parallelism = threads(&flags)?;
 
     if flags.switch("sweep") {
         if flags.value("summary-md").is_some() {

@@ -35,7 +35,7 @@ USAGE:
   slj synth   --out DIR [--seed N] [--frames N] [--flaws a,b,c]
               [--distance M] [--height M] [--compact] [--clean]
   slj analyze --clip DIR [--report FILE.json] [--report-md FILE.md]
-              [--fast | --paper] [--half-res] [--threads N|auto|serial]
+              [--fast | --paper] [--half-res]
               [--best-effort [--max-degraded N]] [--inject-faults SPEC]
               [--stream [--warmup N]] [--trace FILE.jsonl] [--metrics]
   slj score   --clip DIR
@@ -63,10 +63,7 @@ COMMANDS:
             (--best-effort tolerates degraded frames and masks them out
              of scoring; --inject-faults perturbs the clip first, e.g.
              'drop=0.1,dup=0.05,flicker=0.08,burst=2:3:40,jitter=2,bars=1,seed=9';
-             --threads sets worker threads for GA fitness evaluation
-             (segmentation runs its frames in order on one thread) —
-             default auto = one per core; results are bit-identical at
-             any thread count;
+             the analysis runs on one thread, frame by frame in order;
              --stream analyses frame by frame in O(1) memory — the
              background comes from the first --warmup frames (default
              14) and results are byte-identical to a batch run of the
@@ -74,7 +71,7 @@ COMMANDS:
              --trace writes the slj-trace/1 JSONL span trace and
              --metrics prints the deterministic metrics registry — both
              derived from analysis results only, so they are
-             byte-identical at every --threads setting)
+             byte-identical run to run)
   score     score a clip's ground-truth poses (no vision)
   serve     run clips through the supervised multi-session service core
             (each session is an independent streaming analysis behind a

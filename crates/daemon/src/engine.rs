@@ -56,7 +56,7 @@ pub struct OpenRequest {
     pub first_pose: Pose,
     /// The clip frame rate.
     pub fps: f64,
-    /// Background warm-up window (frames).
+    /// Background warm-up window (frames), 2 to [`MAX_WARMUP`].
     pub warmup: usize,
     /// Use the fast analyzer preset instead of the default.
     pub fast: bool,
@@ -67,6 +67,12 @@ pub struct OpenRequest {
     /// `ANALYSIS` message.
     pub want_trace: bool,
 }
+
+/// The longest background warm-up an [`OpenRequest`] may ask for, in
+/// frames. A session holds every frame until its warm-up window fills,
+/// and each checkpoint clones that backlog, so the window must be
+/// bounded. Callers use 2–14 and the paper's clips are about 20 frames.
+pub const MAX_WARMUP: usize = 64;
 
 /// An [`OpenRequest`] field outside the range the analyzer accepts,
 /// found by [`OpenRequest::validate`] before any session is opened.
@@ -92,7 +98,7 @@ impl OpenRequest {
     /// `Camera::new` plus finite offsets, `Video::new` (fps),
     /// `BodyDims::for_height` plus a finite positive length and
     /// thickness per stick, `Pose::from_genes` and the streaming
-    /// warm-up of at least 2 frames. Deserialising
+    /// warm-up of 2 to [`MAX_WARMUP`] frames. Deserialising
     /// bypasses those constructors, so both network edges (daemon and
     /// gateway) call this before admitting a request: a request that
     /// passes cannot trip their asserts inside the supervisor.
@@ -154,12 +160,20 @@ impl OpenRequest {
                 ),
             )?;
         }
+        if self.warmup > MAX_WARMUP {
+            refuse(
+                "warmup",
+                format!(
+                    "must be at most {MAX_WARMUP} frames (a session buffers its warm-up \
+                     window), got {}",
+                    self.warmup
+                ),
+            )?;
+        }
         Ok(())
     }
 
-    /// The manager-level session config this request describes. Each
-    /// session's analyzer runs serial inside its step — concurrency
-    /// lives at the manager, like `slj serve`.
+    /// The manager-level session config this request describes.
     pub fn to_session_config(&self) -> SessionConfig {
         let mut config = if self.fast {
             AnalyzerConfig::fast()
@@ -167,7 +181,6 @@ impl OpenRequest {
             AnalyzerConfig::default()
         };
         config.dims = self.dims.clone();
-        config.parallelism = slj_runtime::Parallelism::Serial;
         if let Some(max_degraded_frames) = self.max_degraded {
             config.robustness = RobustnessPolicy::BestEffort {
                 max_degraded_frames,

@@ -18,7 +18,7 @@ use std::time::Duration;
 use slj::prelude::*;
 use slj_daemon::{
     AckStatus, Addr, Client, ClientError, ClientOptions, Daemon, DaemonConfig, Decoder,
-    OpenRequest, WireMsg, DEFAULT_MAX_FRAME, WIRE_SCHEMA,
+    OpenRequest, WireMsg, DEFAULT_MAX_FRAME, MAX_WARMUP, WIRE_SCHEMA,
 };
 
 fn scene() -> SceneConfig {
@@ -624,7 +624,7 @@ fn retire_mid_stream_recycles_into_an_identical_fresh_session() {
 /// The number is written raw, so `1e999` arrives as infinity, which no
 /// serialised `OpenRequest` can carry. Returns `(field, json)`.
 fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
-    const CASES: [(&str, &str); 11] = [
+    const CASES: [(&str, &str); 12] = [
         ("camera.width", "0"),
         ("camera.pixels_per_meter", "0"),
         ("camera.ground_row", "1e999"),
@@ -636,6 +636,8 @@ fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
         ("first_pose.center.x", "1e999"),
         ("first_pose.angles[2]", "-1e999"),
         ("warmup", "1"),
+        // One past `MAX_WARMUP`: a session buffers its warm-up window.
+        ("warmup", "65"),
     ];
     CASES
         .iter()
@@ -663,6 +665,12 @@ fn out_of_range_open_requests_are_rejected_before_admission() {
     let scene = scene();
     let jump = SyntheticJump::generate(&scene, &JumpConfig::default(), 71);
     let request = open_request(&jump, &scene, false);
+    // The warm-up cap is inclusive; the table below sends one past it.
+    let at_cap = OpenRequest {
+        warmup: MAX_WARMUP,
+        ..request.clone()
+    };
+    assert_eq!(at_cap.validate(), Ok(()));
     let handle = Daemon::start(&[Addr::Tcp("127.0.0.1:0".to_owned())], daemon_config()).unwrap();
     let mut client = Client::connect(&handle.addrs[0], ClientOptions::default()).unwrap();
     let ppm = slj_video::io::ppm_stream(&jump.video);

@@ -12,10 +12,10 @@
 //! **minimised** (Eq. 3's `F_S` is a cost: "the smaller the FS is, the
 //! better the stick model fits the silhouette").
 //!
-//! Fitness evaluation can optionally fan out over scoped threads
-//! (`std::thread::scope`); evaluation is pure, so parallelism never
-//! changes results — all stochastic choices draw from the caller's
-//! seeded RNG on one thread.
+//! Everything runs on the caller's thread: each generation is scored
+//! with one [`Problem::fitness_batch`] call, and every stochastic choice
+//! draws from the caller's seeded RNG. Concurrency lives a level up, in
+//! the session manager's worker pool, which runs whole sessions.
 
 use crate::error::GaError;
 use rand::rngs::StdRng;
@@ -23,9 +23,9 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A GA problem definition: the engine is generic over this.
-pub trait Problem: Sync {
+pub trait Problem {
     /// The chromosome type.
-    type Genome: Clone + Send + Sync;
+    type Genome: Clone;
 
     /// Cost of a genome; **lower is better**. Must be finite for valid
     /// genomes.
@@ -35,9 +35,9 @@ pub trait Problem: Sync {
     /// default delegates to [`Problem::fitness`] one genome at a time;
     /// implementations may override it to amortise shared work across
     /// the batch (deduplication, shared frame walks), but **must**
-    /// write exactly the value `fitness` would return for each genome —
-    /// the engine calls this per worker chunk, so any batch-shape
-    /// dependence would break thread-count determinism.
+    /// write exactly the value `fitness` would return for each genome.
+    /// The engine calls it once per generation with the whole
+    /// population.
     fn fitness_batch(&self, genomes: &[Self::Genome], out: &mut [f64]) {
         for (genome, slot) in genomes.iter().zip(out.iter_mut()) {
             *slot = self.fitness(genome);
@@ -88,8 +88,6 @@ pub struct GaConfig {
     /// Attempts per slot when sampling valid genomes (initialisation and
     /// offspring repair).
     pub validity_retries: usize,
-    /// Evaluate fitness on this many scoped threads (1 = serial).
-    pub threads: usize,
 }
 
 impl Default for GaConfig {
@@ -101,7 +99,6 @@ impl Default for GaConfig {
             patience: Some(15),
             target_fitness: None,
             validity_retries: 30,
-            threads: 1,
         }
     }
 }
@@ -121,11 +118,6 @@ impl GaConfig {
         if self.max_generations == 0 {
             return Err(GaError::BadConfig {
                 what: "max_generations must be positive",
-            });
-        }
-        if self.threads == 0 {
-            return Err(GaError::BadConfig {
-                what: "threads must be positive",
             });
         }
         Ok(())
@@ -188,38 +180,10 @@ struct Individual<G> {
     fitness: f64,
 }
 
-/// A worker thread only pays for its spawn/join overhead when it gets
-/// at least this many genomes; smaller batches evaluate serially.
-/// (This threshold used to be an inline `2 * threads` comparison that
-/// silently dropped small batches to serial — now it is named, and the
-/// spawned thread count is additionally capped at the batch size so a
-/// `threads > population` configuration can never spawn idle workers.)
-pub const MIN_GENOMES_PER_THREAD: usize = 2;
-
-/// Evaluates fitness for a batch, optionally in parallel.
-///
-/// Evaluation is pure, so the parallel path is bit-identical to the
-/// serial one (asserted by `parallel_matches_serial` and the boundary
-/// tests below). A panicking worker panics the caller once every
-/// worker has joined.
-fn evaluate_batch<P: Problem>(
-    problem: &P,
-    genomes: Vec<P::Genome>,
-    threads: usize,
-) -> Vec<Individual<P::Genome>> {
-    let threads = threads.min(genomes.len());
-    let n = genomes.len();
-    let mut fitnesses = vec![0.0f64; n];
-    if threads <= 1 || n < MIN_GENOMES_PER_THREAD * threads {
-        problem.fitness_batch(&genomes, &mut fitnesses);
-    } else {
-        let chunk = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (gs, fs) in genomes.chunks(chunk).zip(fitnesses.chunks_mut(chunk)) {
-                scope.spawn(move || problem.fitness_batch(gs, fs));
-            }
-        });
-    }
+/// Scores a batch of genomes with one [`Problem::fitness_batch`] call.
+fn evaluate_batch<P: Problem>(problem: &P, genomes: Vec<P::Genome>) -> Vec<Individual<P::Genome>> {
+    let mut fitnesses = vec![0.0f64; genomes.len()];
+    problem.fitness_batch(&genomes, &mut fitnesses);
     genomes
         .into_iter()
         .zip(fitnesses)
@@ -270,7 +234,7 @@ pub fn evolve<P: Problem>(
     }
 
     let mut evaluations = genomes.len();
-    let mut population = evaluate_batch(problem, genomes, config.threads);
+    let mut population = evaluate_batch(problem, genomes);
     population.sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
 
     let mut best = population[0].genome.clone();
@@ -334,7 +298,7 @@ pub fn evolve<P: Problem>(
         }
 
         evaluations += next_genomes.len();
-        population = evaluate_batch(problem, next_genomes, config.threads);
+        population = evaluate_batch(problem, next_genomes);
         population.sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
 
         if population[0].fitness < best_fitness {
@@ -494,75 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let problem = Sphere {
-            target: [4.0, 4.0, 4.0],
-        };
-        let serial = evolve(&problem, &cfg(), &mut StdRng::seed_from_u64(3)).unwrap();
-        let par_cfg = GaConfig {
-            threads: 4,
-            ..cfg()
-        };
-        let parallel = evolve(&problem, &par_cfg, &mut StdRng::seed_from_u64(3)).unwrap();
-        assert_eq!(serial.best, parallel.best);
-        assert_eq!(serial.history, parallel.history);
-    }
-
-    #[test]
-    fn thread_counts_at_and_beyond_population_match_serial() {
-        // Boundary cases of the batch threshold: as many threads as
-        // genomes, and far more threads than genomes. Both must produce
-        // exactly the serial result (and not panic spawning idle
-        // workers).
-        let problem = Sphere {
-            target: [2.0, -1.0, 0.5],
-        };
-        let small = GaConfig {
-            population_size: 8,
-            max_generations: 12,
-            patience: None,
-            ..GaConfig::default()
-        };
-        let serial = evolve(&problem, &small, &mut StdRng::seed_from_u64(21)).unwrap();
-        for threads in [8, 9, 64] {
-            let cfg = GaConfig { threads, ..small };
-            let run = evolve(&problem, &cfg, &mut StdRng::seed_from_u64(21)).unwrap();
-            assert_eq!(serial.best, run.best, "threads = {threads}");
-            assert_eq!(serial.history, run.history, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn batch_threshold_boundary_matches_serial() {
-        // population == MIN_GENOMES_PER_THREAD * threads sits exactly on
-        // the parallel side of the threshold; one genome fewer falls to
-        // serial. Both sides must agree with the single-thread run.
-        let problem = Sphere {
-            target: [0.5, 0.5, 0.5],
-        };
-        let threads = 3;
-        for population_size in [
-            MIN_GENOMES_PER_THREAD * threads,
-            MIN_GENOMES_PER_THREAD * threads - 1,
-        ] {
-            let base = GaConfig {
-                population_size,
-                max_generations: 10,
-                patience: None,
-                ..GaConfig::default()
-            };
-            let serial = evolve(&problem, &base, &mut StdRng::seed_from_u64(22)).unwrap();
-            let cfg = GaConfig { threads, ..base };
-            let run = evolve(&problem, &cfg, &mut StdRng::seed_from_u64(22)).unwrap();
-            assert_eq!(serial.best, run.best, "population = {population_size}");
-            assert_eq!(
-                serial.history, run.history,
-                "population = {population_size}"
-            );
-        }
-    }
-
-    #[test]
     fn validity_constraint_is_respected() {
         let problem = ConstrainedSphere(Sphere {
             // Target in the *invalid* half: best valid answer has
@@ -669,10 +564,6 @@ mod tests {
             },
             GaConfig {
                 max_generations: 0,
-                ..cfg()
-            },
-            GaConfig {
-                threads: 0,
                 ..cfg()
             },
         ] {

@@ -69,8 +69,7 @@ const PRUNE_SLACK: f64 = 1.0 + 1e-12;
 /// computed exactly and how many the AABB lower bound skipped.
 /// `candidates + pruned == 8 × sample pixels` always. Deterministic by
 /// construction — the scan is sequential over scanline-ordered pixels —
-/// so it is safe to expose through the observability layer at any
-/// `Parallelism`.
+/// so it is safe to expose through the observability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PruneStats {
     /// Sticks scored exactly.

@@ -9,7 +9,7 @@
 //! which collapses convergence from ~200 generations to a handful.
 //!
 //! * [`engine`] — a generic minimising GA with elitism, rank selection
-//!   and optional scoped-thread parallel fitness evaluation.
+//!   and batched fitness evaluation.
 //! * [`fitness`] — Eq. 3: `F_S = (Σ_p min_l d(p, S_l)/t_l) / N`.
 //! * [`pose_problem`] — the chromosome encoding, grouped crossover,
 //!   mutation, validity constraint and initial-population strategies.

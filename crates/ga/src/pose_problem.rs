@@ -27,9 +27,9 @@ use slj_imgproc::moments;
 use slj_motion::model::{StickKind, GENE_COUNT, GENE_GROUPS, STICK_COUNT};
 use slj_motion::{Angle, BodyDims, Pose};
 use slj_video::Camera;
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Per-stick half-range Δρ (degrees) for temporal initialisation,
 /// paper order ρ0..ρ7. Derived from the maximum frame-to-frame angular
@@ -98,21 +98,17 @@ impl Default for PoseProblemConfig {
     }
 }
 
-/// A concurrent fitness memo keyed on the exact bit pattern of the
-/// chromosome's genes. The elitist GA re-scores every surviving elite
-/// each generation, and low crossover/mutation rates mean many
-/// offspring are verbatim copies of a parent — the memo returns their
-/// cached cost instead of re-walking the silhouette. Purely an
-/// evaluation cache: since Eq. 3 is a pure function of the genes, a hit
-/// returns exactly what recomputation would, on any thread, in any
-/// order — parallelism and memoisation both preserve bit-identical GA
-/// trajectories.
-#[derive(Default)]
-pub struct FitnessMemo {
-    map: Mutex<HashMap<[u64; GENE_COUNT], f64, BuildChromoHasher>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
+/// A fitness memo keyed on the exact bit pattern of the chromosome's
+/// genes. The elitist GA re-scores every surviving elite each
+/// generation, and low crossover/mutation rates mean many offspring are
+/// verbatim copies of a parent — the memo returns their cached cost
+/// instead of re-walking the silhouette. Purely an evaluation cache:
+/// since Eq. 3 is a pure function of the genes, a hit returns exactly
+/// what recomputation would, so memoisation preserves bit-identical GA
+/// trajectories. A plain map behind a `RefCell`: the GA evaluates on
+/// one thread.
+#[derive(Clone, Default)]
+pub struct FitnessMemo(RefCell<HashMap<[u64; GENE_COUNT], f64, BuildChromoHasher>>);
 
 /// Multiply-xor hasher for chromosome keys (12 `u64` gene-bit words).
 /// The default SipHash is keyed against adversarial collisions, which a
@@ -149,39 +145,23 @@ impl FitnessMemo {
     }
 
     fn get(&self, key: &[u64; GENE_COUNT]) -> Option<f64> {
-        let found = self.map.lock().expect("memo poisoned").get(key).copied();
-        match found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
+        self.0.borrow().get(key).copied()
     }
 
     fn insert(&self, key: [u64; GENE_COUNT], fitness: f64) {
-        self.map.lock().expect("memo poisoned").insert(key, fitness);
-    }
-
-    /// `(hits, misses)` so far — perf diagnostics only.
-    pub fn stats(&self) -> (usize, usize) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.0.borrow_mut().insert(key, fitness);
     }
 
     /// Number of distinct chromosomes cached.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("memo poisoned").len()
+        self.0.borrow().len()
     }
 
-    /// Empties the memo table — keeping its (large) hash-table
-    /// storage — and zeroes the hit/miss counters. Called when a memo
-    /// is recycled for a different silhouette: stale values can never
-    /// leak because every key is gone.
+    /// Empties the memo table, keeping its (large) hash-table storage.
+    /// Called when a memo is recycled for a different silhouette: stale
+    /// values can never leak because every key is gone.
     pub fn clear(&self) {
-        self.map.lock().expect("memo poisoned").clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.0.borrow_mut().clear();
     }
 
     /// Whether the memo has cached anything yet.
@@ -190,32 +170,19 @@ impl FitnessMemo {
     }
 }
 
-impl Clone for FitnessMemo {
-    fn clone(&self) -> Self {
-        FitnessMemo {
-            map: Mutex::new(self.map.lock().expect("memo poisoned").clone()),
-            hits: AtomicUsize::new(self.hits.load(Ordering::Relaxed)),
-            misses: AtomicUsize::new(self.misses.load(Ordering::Relaxed)),
-        }
-    }
-}
-
 impl std::fmt::Debug for FitnessMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (hits, misses) = self.stats();
         f.debug_struct("FitnessMemo")
             .field("entries", &self.len())
-            .field("hits", &hits)
-            .field("misses", &misses)
             .finish()
     }
 }
 
 /// Per-call scratch for the batched evaluation path: the memo-miss
 /// work list, the deduplicated poses, their values, and the evaluator's
-/// own [`BatchScratch`]. Pooled on the problem so steady-state batch
+/// own [`BatchScratch`]. Kept on the problem so steady-state batch
 /// evaluation performs no heap allocation (`tests/zero_alloc.rs`).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct EvalScratch {
     /// `(chromosome bits, genome index)` for every genome the memo did
     /// not already answer. Sorted to group exact duplicates.
@@ -228,35 +195,9 @@ struct EvalScratch {
     fit: BatchScratch,
 }
 
-/// A lock-guarded stack of [`EvalScratch`] buffers: each concurrent
-/// batch evaluation pops one (or starts fresh) and pushes it back
-/// warmed. Purely a cache — cloning a problem starts an empty pool.
-#[derive(Debug, Default)]
-struct ScratchPool(Mutex<Vec<EvalScratch>>);
-
-impl ScratchPool {
-    fn take(&self) -> EvalScratch {
-        self.0
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_default()
-    }
-
-    fn put(&self, scratch: EvalScratch) {
-        self.0.lock().expect("scratch pool poisoned").push(scratch);
-    }
-}
-
-impl Clone for ScratchPool {
-    fn clone(&self) -> Self {
-        ScratchPool::default()
-    }
-}
-
 /// A problem's recyclable heavy state: the fitness memo map (a hash
 /// table that grows to thousands of entries over a GA run) and
-/// the batched-evaluation scratch pool. Reclaim it from a finished
+/// the batched-evaluation scratch. Reclaim it from a finished
 /// problem with [`PoseProblem::reclaim`] and thread it into the next
 /// frame's problem with [`PoseProblem::with_fitness_scratch`]; the memo
 /// is cleared (not dropped) on adoption, so steady-state tracking
@@ -264,7 +205,7 @@ impl Clone for ScratchPool {
 #[derive(Debug, Default)]
 pub struct ProblemScratch {
     memo: FitnessMemo,
-    pool: ScratchPool,
+    eval: EvalScratch,
 }
 
 /// The validity test's constants, derived once per problem from the
@@ -331,9 +272,8 @@ pub struct PoseProblem {
     init: InitStrategy,
     config: PoseProblemConfig,
     memo: FitnessMemo,
-    /// Pooled scratch for batched lane evaluation — a pure cache, so
-    /// clones start with a fresh (empty) pool.
-    scratch: ScratchPool,
+    /// Scratch for batched lane evaluation — a pure cache.
+    scratch: RefCell<EvalScratch>,
     /// Silhouette centroid in world coordinates.
     centroid_world: Point2,
     /// Silhouette bounding box in world coordinates
@@ -445,7 +385,7 @@ impl PoseProblem {
             init,
             config,
             memo: scratch.memo,
-            scratch: scratch.pool,
+            scratch: RefCell::new(scratch.eval),
             centroid_world: camera.image_to_world(centroid_px),
             bbox_world: (tl.x, tl.y, br.x, br.y),
         })
@@ -458,7 +398,7 @@ impl PoseProblem {
     pub fn reclaim(self) -> ProblemScratch {
         ProblemScratch {
             memo: self.memo,
-            pool: self.scratch,
+            eval: self.scratch.into_inner(),
         }
     }
 
@@ -478,7 +418,8 @@ impl PoseProblem {
         Arc::clone(&self.fitness)
     }
 
-    /// The fitness memo (hit/miss diagnostics).
+    /// The fitness memo; its size is the problem's distinct-genome
+    /// count.
     pub fn memo(&self) -> &FitnessMemo {
         &self.memo
     }
@@ -543,7 +484,7 @@ impl Problem for PoseProblem {
     /// `fitness` calls count. Values are bit-identical to per-genome
     /// `fitness` calls at any batch split (property-tested).
     fn fitness_batch(&self, genomes: &[Pose], out: &mut [f64]) {
-        let mut scratch = self.scratch.take();
+        let scratch = &mut *self.scratch.borrow_mut();
         scratch.pending.clear();
         for (i, genome) in genomes.iter().enumerate() {
             let key = FitnessMemo::key(genome);
@@ -554,7 +495,6 @@ impl Problem for PoseProblem {
             scratch.pending.push((key, i as u32));
         }
         if scratch.pending.is_empty() {
-            self.scratch.put(scratch);
             return;
         }
         // Group exact duplicates; ties keep the lowest genome index
@@ -593,7 +533,6 @@ impl Problem for PoseProblem {
             unique += 1;
             start = end;
         }
-        self.scratch.put(scratch);
     }
 
     fn random_genome(&self, rng: &mut StdRng) -> Pose {
@@ -1159,8 +1098,6 @@ mod tests {
         let second = p.fitness(&pose);
         assert_eq!(first, fresh);
         assert_eq!(second, fresh);
-        let (hits, misses) = p.memo().stats();
-        assert_eq!((hits, misses), (1, 1));
         assert_eq!(p.memo().len(), 1);
     }
 

@@ -50,10 +50,9 @@ pub struct TrackerConfig {
     pub seed: u64,
     /// What to do when a frame resists the temporal seed.
     pub recovery: RecoveryPolicy,
-    /// Worker threads for per-genome fitness evaluation, resolved into
-    /// [`GaConfig::threads`] when tracking runs. Frames themselves stay
-    /// sequential — frame k's seed *is* frame k−1's estimate — so the
-    /// fan-out happens inside each frame's GA. Overrides `ga.threads`.
+    /// Ignored: tracking runs on the caller's thread. Kept only because
+    /// perf_stack's layer replay (`stackbench/src/layers.rs:202`) still
+    /// sets it.
     pub parallelism: Parallelism,
 }
 
@@ -238,10 +237,8 @@ pub struct TrackResult {
     /// for frame 0 and synthesised frames; 1 when the temporal seed
     /// succeeded first try).
     pub rungs_attempted: usize,
-    /// Distinct genomes evaluated across all rungs (fitness-memo
-    /// insertions; 0 when the memo is disabled). A set size, so it is
-    /// invariant under the parallel fitness fan-out even though the
-    /// racy hit/miss split is not.
+    /// Distinct genomes evaluated across all rungs: the sum of each
+    /// rung's fitness-memo size.
     pub unique_genomes: usize,
     /// Exact Eq. 3 stick evaluations when re-scoring the final pose
     /// through the branch-and-bound path (observability accounting,
@@ -321,15 +318,6 @@ impl TemporalTracker {
     /// The configuration in use.
     pub fn config(&self) -> &TrackerConfig {
         &self.config
-    }
-
-    /// The per-frame GA configuration actually used: the shared
-    /// [`Parallelism`] knob resolved into a concrete worker count.
-    pub fn effective_ga(&self) -> GaConfig {
-        GaConfig {
-            threads: self.config.parallelism.threads(),
-            ..self.config.ga
-        }
     }
 
     /// Tracks a clip: `silhouettes\[0\]` is described by `first_pose`
@@ -463,7 +451,6 @@ impl TemporalTracker {
                 }
             };
 
-        let ga = self.effective_ga();
         let mut spent_evaluations = 0usize;
         let mut rungs_attempted = 0usize;
         let mut unique_genomes = 0usize;
@@ -498,7 +485,7 @@ impl TemporalTracker {
                     .wrapping_add(k as u64)
                     .wrapping_add((rung_index as u64).wrapping_mul(0x9E37_79B9)),
             );
-            let run = match evolve(&problem, &ga, &mut rng) {
+            let run = match evolve(&problem, &self.config.ga, &mut rng) {
                 Ok(run) => run,
                 Err(GaError::InitFailed { .. }) => {
                     // A rung that cannot seed still hands its memo and
@@ -964,30 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_tracking_matches_serial_exactly() {
-        // Thread count is a throughput knob, never a semantics knob:
-        // every per-frame field — pose bits, fitness, convergence stats,
-        // history — must be identical at any parallelism.
-        let (sils, truth, dims, camera) = jump_silhouettes(4);
-        let serial = TemporalTracker::new(TrackerConfig::fast())
-            .track(&sils, truth[0], &dims, &camera)
-            .unwrap();
-        for parallelism in [
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(4),
-            Parallelism::Auto,
-        ] {
-            let tracker = TemporalTracker::new(TrackerConfig {
-                parallelism,
-                ..TrackerConfig::fast()
-            });
-            assert_eq!(tracker.effective_ga().threads, parallelism.threads());
-            let run = tracker.track(&sils, truth[0], &dims, &camera).unwrap();
-            assert_eq!(run.frames, serial.frames, "parallelism = {parallelism}");
-        }
-    }
-
-    #[test]
     fn to_pose_seq_and_totals() {
         let (sils, truth, dims, camera) = jump_silhouettes(3);
         let tracker = TemporalTracker::new(TrackerConfig::fast());
@@ -1141,32 +1104,20 @@ mod tests {
     }
 
     #[test]
-    fn interpolation_rung_is_bit_deterministic_across_parallelism() {
+    fn interpolation_rung_is_bit_deterministic() {
         // The interpolation rung is pure arithmetic on accepted poses,
-        // but those poses come out of the (parallelism-invariant) GA —
-        // assert the whole chain stays bit-identical at any thread
-        // count, including the interpolated frames.
+        // but those poses come out of the seeded GA — assert the whole
+        // chain, interpolated frames included, is bit-identical across
+        // two runs.
         let (mut sils, truth, dims, camera) = jump_silhouettes(5);
         sils[2] = Mask::new(camera.width, camera.height);
         sils[3] = Mask::new(camera.width, camera.height);
-        let serial = TemporalTracker::new(TrackerConfig::fast())
-            .track(&sils, truth[0], &dims, &camera)
-            .unwrap();
-        assert_eq!(serial.frames[2].recovery, RecoveryAction::Interpolated);
-        assert_eq!(serial.frames[3].recovery, RecoveryAction::Interpolated);
-        for parallelism in [
-            Parallelism::Fixed(2),
-            Parallelism::Fixed(4),
-            Parallelism::Auto,
-        ] {
-            let run = TemporalTracker::new(TrackerConfig {
-                parallelism,
-                ..TrackerConfig::fast()
-            })
-            .track(&sils, truth[0], &dims, &camera)
-            .unwrap();
-            assert_eq!(run.frames, serial.frames, "parallelism = {parallelism}");
-        }
+        let tracker = TemporalTracker::new(TrackerConfig::fast());
+        let first = tracker.track(&sils, truth[0], &dims, &camera).unwrap();
+        assert_eq!(first.frames[2].recovery, RecoveryAction::Interpolated);
+        assert_eq!(first.frames[3].recovery, RecoveryAction::Interpolated);
+        let second = tracker.track(&sils, truth[0], &dims, &camera).unwrap();
+        assert_eq!(first.frames, second.frames);
     }
 
     #[test]

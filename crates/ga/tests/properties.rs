@@ -62,7 +62,6 @@ proptest! {
         pop in 2usize..40,
         elite in 0.0f64..1.0,
         gens in 1usize..25,
-        threads in 1usize..4,
         seed in any::<u64>(),
     ) {
         let config = GaConfig {
@@ -72,7 +71,6 @@ proptest! {
             patience: None,
             target_fitness: None,
             validity_retries: 10,
-            threads,
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let run = evolve(&Sphere, &config, &mut rng).unwrap();
@@ -302,7 +300,7 @@ proptest! {
         // `PoseProblem::fitness_batch` must agree bitwise with the
         // scalar per-genome evaluation, regardless of in-batch
         // duplicates, memo hits, or how the population is split into
-        // batches (thread-chunk independence).
+        // batches.
         let (sil, dims, camera, _pose) = fixture();
         let problem = PoseProblem::new(
             &sil, &dims, &camera, InitStrategy::FullRange, PoseProblemConfig::default(),

@@ -2,7 +2,7 @@
 //! evaluation and the validity test must not touch the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up batch (growing the pooled [`EvalScratch`] buffers and the
+//! warm-up batch (growing the problem's [`EvalScratch`] buffers and the
 //! memo table to their high-water mark) and a memo clear, a second
 //! batch through the same `PoseProblem::fitness_batch` path is asserted
 //! to perform **zero** allocations — through pose projection, the lane
@@ -33,7 +33,7 @@ use slj_video::Camera;
 
 #[test]
 fn starting_a_thread_allocates_on_the_caller() {
-    let ((), delta) = allocations_during(|| std::thread::scope(|s| s.spawn(|| {}).join().unwrap()));
+    let ((), delta) = allocations_during(|| std::thread::spawn(|| {}).join().unwrap());
     assert!(delta > 0, "a thread start went uncounted");
 }
 

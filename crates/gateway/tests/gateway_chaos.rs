@@ -518,7 +518,7 @@ fn expect_continue_is_answered_before_the_body_and_never_over_the_limit() {
 /// The number is written raw, so `1e999` arrives as infinity, which no
 /// serialised `OpenRequest` can carry. Returns `(field, json)`.
 fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
-    const CASES: [(&str, &str); 11] = [
+    const CASES: [(&str, &str); 12] = [
         ("camera.width", "0"),
         ("camera.pixels_per_meter", "0"),
         ("camera.ground_row", "1e999"),
@@ -530,6 +530,8 @@ fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
         ("first_pose.center.x", "1e999"),
         ("first_pose.angles[2]", "-1e999"),
         ("warmup", "1"),
+        // One past `MAX_WARMUP`: a session buffers its warm-up window.
+        ("warmup", "65"),
     ];
     CASES
         .iter()

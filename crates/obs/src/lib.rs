@@ -1,19 +1,19 @@
 //! Observability for the analysis pipeline: spans, metrics, traces and
 //! profiling hooks.
 //!
-//! The pipeline is deterministic by contract — `Parallelism` is a
-//! throughput knob, never a semantics knob — and its observability
-//! layer must uphold the same contract, or a trace diff would cry wolf
-//! every time someone changes `--threads`. The design therefore splits
-//! observation into two strictly separated halves:
+//! The pipeline is deterministic by contract — the same clip and
+//! configuration give the same analysis, however many sessions run side
+//! by side — and its observability layer must uphold the same contract,
+//! or a trace diff would cry wolf on every rerun. The design therefore
+//! splits observation into two strictly separated halves:
 //!
 //! * **Deterministic span data** ([`SegmentObs`], [`TrackObs`],
 //!   [`RuleObs`], assembled per clip into [`ClipObs`]): pure functions
 //!   of the analysis *results* (stage masks, GA accounting, rule
 //!   verdicts), collected in frame order. Everything derived from it —
 //!   the JSONL trace ([`ClipObs::render_trace`]) and the
-//!   [`MetricsRegistry`] ([`ClipObs::metrics`]) — is byte-identical at
-//!   every thread count because the inputs are.
+//!   [`MetricsRegistry`] ([`ClipObs::metrics`]) — is byte-identical
+//!   run to run because the inputs are.
 //! * **Wall-clock profiling** ([`Profiler`]): span-keyed duration
 //!   accumulation for benchmarks. Timings are inherently
 //!   non-deterministic, so they never enter the trace or the registry;
@@ -106,8 +106,7 @@ pub mod spans {
 // ---------------------------------------------------------------------
 
 /// One frame's segmentation span: the pixel population after every
-/// stage of the Section-2 pipeline. Derived from the stage masks, so it
-/// is identical however many threads produced them.
+/// stage of the Section-2 pipeline. Derived from the stage masks alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SegmentObs {
     /// Foreground pixels after raw background subtraction.
@@ -131,19 +130,16 @@ pub struct SegmentObs {
     pub final_px: u64,
 }
 
-/// One frame's GA tracking span. Every field is invariant under the
-/// parallel fitness fan-out: the GA's control flow is bit-identical at
-/// any thread count, unique-genome counts are set sizes (not call
-/// counts), and the branch-and-bound statistics are recomputed from the
-/// winning pose alone.
+/// One frame's GA tracking span. Every field is a fact of the seeded
+/// GA's control flow: unique-genome counts are memo set sizes, and the
+/// branch-and-bound statistics are recomputed from the winning pose
+/// alone.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TrackObs {
     /// GA generations run for this frame (all rungs of the winner's
     /// run; 0 for frame 0 and synthesised frames).
     pub generations: u64,
-    /// Fitness requests billed to this frame (memo hits included —
-    /// request count is a control-flow fact, unlike the racy hit/miss
-    /// split under parallel duplicate evaluation).
+    /// Fitness requests billed to this frame (memo hits included).
     pub evaluations: u64,
     /// Distinct genomes actually evaluated (memo insertions across all
     /// rungs; 0 when the memo is disabled).
@@ -330,9 +326,9 @@ impl ClipObs {
     }
 
     /// Aggregates the clip's spans into the deterministic metrics
-    /// registry. Aggregation folds in frame order over data that is
-    /// itself thread-invariant, so the rendered registry is
-    /// byte-identical at every `Parallelism` setting.
+    /// registry. Aggregation folds in frame order over deterministic
+    /// span data, so the rendered registry is byte-identical run to
+    /// run.
     pub fn metrics(&self) -> MetricsRegistry {
         /// Generations-per-frame buckets (upper bounds; +inf implied).
         const GENERATION_BOUNDS: &[u64] = &[0, 2, 4, 8, 16, 32, 64];

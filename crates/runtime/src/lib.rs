@@ -1,18 +1,17 @@
 //! Shared execution-layer configuration for the workspace.
 //!
-//! Every stage that can fan work out over threads — the GA engine
-//! (per-genome fitness), the session manager (session steps), the
-//! eval matrix (cells) — takes its thread count from one
-//! [`Parallelism`] value. In an analysis it flows top-down: CLI
-//! `--threads` → `AnalyzerConfig` → `TrackerConfig` →
-//! `GaConfig.threads`; segmentation always runs its frames in order on
-//! one thread. Centralising the knob keeps "how parallel is this run"
-//! a single decision instead of hardcoded integers.
+//! Two stages fan work out over threads, each over independent units:
+//! the session manager (whole sessions, `ServeConfig.parallelism`) and
+//! the eval matrix (clip cells, `MatrixConfig.parallelism`). Both take
+//! their thread count from one [`Parallelism`] value, set by the CLI's
+//! `--threads` on `serve`, `daemon` and `eval`. One analysis never fans
+//! out: frame k's GA is seeded by frame k−1's estimate, so segmentation
+//! and tracking run in frame order on the caller's thread.
 //!
 //! Parallelism is a *throughput* setting, never a *semantics* setting:
-//! every parallel code path in the workspace is required (and tested)
-//! to produce bit-identical output to its serial twin, so any value
-//! here is safe for reproducibility.
+//! both fan-outs are required (and tested) to produce bit-identical
+//! output to a serial run, so any value here is safe for
+//! reproducibility.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -44,11 +44,9 @@ pub struct AnalyzerConfig {
     /// How per-frame evidence (silhouette issues, recovery rungs) is
     /// condensed into the [`FrameHealth`] confidence score.
     pub confidence: ConfidenceModel,
-    /// Worker threads for the GA's per-genome fitness evaluation, the
-    /// one phase of an analysis that fans out (segmentation runs its
-    /// frames in order on one thread). Authoritative — it overwrites
-    /// `tracker.parallelism` when the analysis runs. Parallel runs are
-    /// bit-identical to serial ones (tested).
+    /// Ignored: an analysis runs on the caller's thread. Kept only
+    /// because perf_stack's layer replay
+    /// (`stackbench/src/layers.rs:202`) still reads it.
     pub parallelism: Parallelism,
 }
 
@@ -281,7 +279,7 @@ pub struct AnalysisReport {
     /// The observability spans: per-frame segmentation/tracking data
     /// and per-rule scoring windows, ready to render as a `slj-trace/1`
     /// JSONL trace or aggregate into a metrics registry. Deterministic:
-    /// identical at every [`Parallelism`] setting.
+    /// a pure function of the analysis results.
     pub obs: slj_obs::ClipObs,
     /// Jump-performance measurement (takeoff → landing distance, flight
     /// apex) from the final pose sequence; `None` when the clip holds no
@@ -426,17 +424,13 @@ impl JumpAnalyzer {
         camera: &Camera,
         first_pose: Pose,
     ) -> Result<AnalysisReport, AnalyzeError> {
-        let tracker_config = TrackerConfig {
-            parallelism: self.config.parallelism,
-            ..self.config.tracker
-        };
         let segmentation = SegmentPipeline::new(self.config.segmentation.clone()).run(video)?;
         let silhouettes: Vec<Mask> = segmentation
             .frames
             .iter()
             .map(|s| s.final_mask.clone())
             .collect();
-        let tracking = TemporalTracker::new(tracker_config).track(
+        let tracking = TemporalTracker::new(self.config.tracker).track(
             &silhouettes,
             first_pose,
             &self.config.dims,

@@ -4,7 +4,7 @@
 //! Everything here is a pure function of analysis *results* — stage
 //! masks, GA accounting, rule verdicts — so the batch and streaming
 //! paths produce bit-identical span data for the same clip and
-//! configuration, at every `Parallelism` setting. Both build one
+//! configuration. Both build one
 //! [`FrameObs`] per frame with `frame_obs` (batch over the retained
 //! stage masks, streaming on each
 //! [`push_frame`](crate::StreamingAnalyzer::push_frame)), and the
@@ -56,7 +56,7 @@ pub(crate) fn frame_obs(frame: usize, stages: &FrameStages, track: &TrackResult)
 }
 
 /// One frame's GA tracking span, derived from the tracker's
-/// thread-invariant accounting.
+/// accounting.
 fn track_obs(t: &TrackResult) -> TrackObs {
     let evaluations = t.evaluations as u64;
     let unique_genomes = t.unique_genomes as u64;

@@ -26,12 +26,11 @@
 //! of `track`), and `finish` ends in the same smoothing, robustness,
 //! scoring and measurement function as batch. The
 //! `streaming_determinism` integration test asserts
-//! equality field-by-field on clean and fault-injected clips at every
-//! `Parallelism` setting.
+//! equality field-by-field on clean and fault-injected clips.
 
 use crate::analyzer::{analysis_tail, AnalyzerConfig, FrameHealth};
 use crate::error::AnalyzeError;
-use slj_ga::tracker::{TemporalTracker, TrackResult, TrackScratch, TrackerConfig, TrackerStream};
+use slj_ga::tracker::{TemporalTracker, TrackResult, TrackScratch, TrackerStream};
 use slj_imgproc::components::Labeling;
 use slj_imgproc::image::ImageBuffer;
 use slj_motion::{Pose, PoseSeq};
@@ -596,11 +595,7 @@ impl StreamingAnalyzer {
             prepared,
             std::mem::take(&mut self.scratch.arena),
         );
-        let tracker_config = TrackerConfig {
-            parallelism: self.config.parallelism,
-            ..self.config.tracker
-        };
-        let tracker = TemporalTracker::new(tracker_config)
+        let tracker = TemporalTracker::new(self.config.tracker)
             .stream(self.first_pose, &self.config.dims, &self.camera)
             .with_scratch(std::mem::take(&mut self.scratch.track));
         self.live = Some(LiveState {

@@ -1,8 +1,8 @@
 //! Observability determinism suite: the `slj-trace/1` JSONL trace and
-//! the metrics registry must be byte-identical at every `Parallelism`
-//! setting — `--threads` is a throughput knob, never a semantics knob,
-//! and the observability layer must uphold that contract or a trace
-//! diff would cry wolf on every thread-count change.
+//! the metrics registry are pure functions of the analysis, so they
+//! must be byte-identical run to run, between batch and streaming, and
+//! whatever the ignored `AnalyzerConfig.parallelism` field says — or a
+//! trace diff would cry wolf.
 
 use slj::prelude::*;
 
@@ -35,28 +35,19 @@ fn config_at(parallelism: Parallelism) -> AnalyzerConfig {
 
 #[test]
 fn trace_and_metrics_are_byte_identical_across_parallelism() {
+    // An analysis runs on the caller's thread whatever
+    // `AnalyzerConfig.parallelism` says, so one run with the field set
+    // stands for every value.
     let (jump, faulty, scene) = fault_injected_clip();
     let first = jump.poses.poses()[0];
     let serial = JumpAnalyzer::new(config_at(Parallelism::Serial))
         .analyze(&faulty, &scene.camera, first)
         .expect("serial analysis succeeds");
-    let serial_trace = serial.obs.render_trace();
-    let serial_metrics = serial.obs.metrics().render();
-    for parallelism in [Parallelism::Fixed(4), Parallelism::Auto] {
-        let report = JumpAnalyzer::new(config_at(parallelism))
-            .analyze(&faulty, &scene.camera, first)
-            .expect("parallel analysis succeeds");
-        assert_eq!(
-            serial_trace,
-            report.obs.render_trace(),
-            "trace differs at {parallelism}"
-        );
-        assert_eq!(
-            serial_metrics,
-            report.obs.metrics().render(),
-            "metrics differ at {parallelism}"
-        );
-    }
+    let report = JumpAnalyzer::new(config_at(Parallelism::Fixed(4)))
+        .analyze(&faulty, &scene.camera, first)
+        .expect("analysis succeeds");
+    assert_eq!(serial.obs.render_trace(), report.obs.render_trace());
+    assert_eq!(serial.obs.metrics().render(), report.obs.metrics().render());
 }
 
 #[test]
