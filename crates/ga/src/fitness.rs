@@ -503,12 +503,10 @@ impl SilhouetteFitness {
             let seg = slj_imgproc::geometry::Segment::new(stick.a, stick.b);
             for p in seg.sample_iter(MODEL_SAMPLES_PER_STICK) {
                 count += 1;
-                let (x, y) = (p.x.round(), p.y.round());
-                let d = if x >= 0.0 && y >= 0.0 && (x as usize) < w && (y as usize) < h {
-                    df.distance(x as usize, y as usize)
-                } else {
+                let d = match df.pixel_at(p) {
+                    Some((x, y)) => df.distance(x, y),
                     // Off-image samples are maximally outside.
-                    (w + h) as f64
+                    None => (w + h) as f64,
                 };
                 total += ((d - t).max(0.0) / t).min(20.0);
             }
@@ -752,21 +750,16 @@ mod x86 {
     }
 
     /// All eight sticks' box-to-box lower bounds against one chunk in a
-    /// single 8-lane pass, returned with the survivor bitmask of lanes
-    /// beating `threshold` — the same per-stick arithmetic and the same
+    /// single 8-lane pass, returned as the bitmask of sticks whose bound
+    /// beats `threshold` — the same per-stick arithmetic and the same
     /// `>= chunk_ub * PRUNE_SLACK → skip` predicate as the scalar prune
     /// test, evaluated for all sticks at once. In the common case the
     /// hint stick already prunes everything and the mask comes back
-    /// empty, so the per-stick loop never runs. Bounds only steer the
+    /// empty, so no survivor is scored. Bounds only steer the
     /// conservative prune, so they cannot affect the returned sums.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn stick_survivors_avx512(
-        sb: &StickBounds,
-        bounds: ChunkBounds,
-        threshold: f64,
-        lbs: &mut [f64; 8],
-    ) -> u32 {
+    unsafe fn stick_survivors_avx512(sb: &StickBounds, bounds: ChunkBounds, threshold: f64) -> u32 {
         let zero = _mm512_setzero_pd();
         let bdx = _mm512_max_pd(
             _mm512_max_pd(
@@ -798,23 +791,17 @@ mod x86 {
             _mm512_add_pd(_mm512_mul_pd(bdx, bdx), _mm512_mul_pd(bdy, bdy)),
             _mm512_loadu_pd(sb.inv_t_sq.as_ptr()),
         );
-        let mask = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(lb, _mm512_set1_pd(threshold));
-        if mask != 0 {
-            _mm512_storeu_pd(lbs.as_mut_ptr(), lb);
-        }
-        u32::from(mask)
+        u32::from(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(
+            lb,
+            _mm512_set1_pd(threshold),
+        ))
     }
 
     /// [`stick_survivors_avx512`] on the AVX2 tier: two 4-wide halves,
     /// survivor bits via `movmsk` on the compare result.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn stick_survivors_avx2(
-        sb: &StickBounds,
-        bounds: ChunkBounds,
-        threshold: f64,
-        lbs: &mut [f64; 8],
-    ) -> u32 {
+    unsafe fn stick_survivors_avx2(sb: &StickBounds, bounds: ChunkBounds, threshold: f64) -> u32 {
         let mut mask = 0u32;
         for half in 0..2 {
             let o = half * 4;
@@ -850,11 +837,7 @@ mod x86 {
                 _mm256_loadu_pd(sb.inv_t_sq.as_ptr().add(o)),
             );
             let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(lb, _mm256_set1_pd(threshold));
-            let half_mask = _mm256_movemask_pd(lt) as u32;
-            if half_mask != 0 {
-                _mm256_storeu_pd(lbs.as_mut_ptr().add(o), lb);
-            }
-            mask |= half_mask << o;
+            mask |= (_mm256_movemask_pd(lt) as u32) << o;
         }
         mask
     }
@@ -884,56 +867,6 @@ mod x86 {
         let ddy = _mm512_sub_pd(py, cy);
         let dsq = _mm512_add_pd(_mm512_mul_pd(ddx, ddx), _mm512_mul_pd(ddy, ddy));
         _mm512_mul_pd(dsq, _mm512_set1_pd(s.inv_t_sq))
-    }
-
-    /// [`eq3_chunk`] on the AVX-512 tier: best/arg kept in registers,
-    /// the strict-less update as mask + blend.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn eq3_chunk_avx512(
-        xs: &[f64; LANES],
-        ys: &[f64; LANES],
-        bounds: ChunkBounds,
-        live: usize,
-        sticks: &[PreparedStick; 8],
-        sb: &StickBounds,
-        hint: u32,
-        total: &mut f64,
-    ) -> u32 {
-        let px = _mm512_loadu_pd(xs.as_ptr());
-        let py = _mm512_loadu_pd(ys.as_ptr());
-        let mut best = dist_avx512(&sticks[hint as usize], px, py);
-        let mut arg = _mm512_set1_pd(hint as f64);
-        // Distances are non-negative, so the lane maximum is
-        // order-independent and matches the generic reduction exactly.
-        let mut chunk_ub = _mm512_reduce_max_pd(best);
-        let mut lbs = [0.0f64; 8];
-        let mut pending =
-            stick_survivors_avx512(sb, bounds, chunk_ub * PRUNE_SLACK, &mut lbs) & !(1u32 << hint);
-        while pending != 0 {
-            let i = pending.trailing_zeros() as usize;
-            pending &= pending - 1;
-            // Re-test against the refreshed upper bound — an earlier
-            // survivor's exact score may have pruned this one since.
-            if lbs[i] >= chunk_ub * PRUNE_SLACK {
-                continue;
-            }
-            let v = dist_avx512(&sticks[i], px, py);
-            let smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(v, best);
-            best = _mm512_mask_blend_pd(smaller, best, v);
-            arg = _mm512_mask_blend_pd(smaller, arg, _mm512_set1_pd(i as f64));
-            chunk_ub = _mm512_reduce_max_pd(best);
-        }
-        let mut roots = [0.0f64; LANES];
-        _mm512_storeu_pd(roots.as_mut_ptr(), _mm512_sqrt_pd(best));
-        for &r in &roots[..live] {
-            *total += r;
-        }
-        // Stick indices 0..7 are exact in f64, so blending the arg
-        // lanes as doubles loses nothing.
-        let mut args = [0.0f64; LANES];
-        _mm512_storeu_pd(args.as_mut_ptr(), arg);
-        args[live - 1] as u32
     }
 
     /// [`lane_scaled_distance_sq`] over one 4-wide register.
@@ -976,7 +909,8 @@ mod x86 {
 
     /// [`eq3_chunk`] on the AVX2 tier: the 8 lanes as two 4-wide
     /// halves, strict-less update as compare + blendv (the compare's
-    /// all-ones lanes drive the blend sign bit).
+    /// all-ones lanes drive the blend sign bit). Every survivor of the
+    /// one bound test is scored, as in [`eq3_chunk_avx512_xn`].
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn eq3_chunk_avx2(
@@ -998,16 +932,12 @@ mod x86 {
         let mut best1 = dist_avx2(h, px1, py1);
         let mut arg0 = _mm256_set1_pd(hint as f64);
         let mut arg1 = arg0;
-        let mut chunk_ub = hmax_avx2(best0, best1);
-        let mut lbs = [0.0f64; 8];
+        let chunk_ub = hmax_avx2(best0, best1);
         let mut pending =
-            stick_survivors_avx2(sb, bounds, chunk_ub * PRUNE_SLACK, &mut lbs) & !(1u32 << hint);
+            stick_survivors_avx2(sb, bounds, chunk_ub * PRUNE_SLACK) & !(1u32 << hint);
         while pending != 0 {
             let i = pending.trailing_zeros() as usize;
             pending &= pending - 1;
-            if lbs[i] >= chunk_ub * PRUNE_SLACK {
-                continue;
-            }
             let s = &sticks[i];
             let v0 = dist_avx2(s, px0, py0);
             let v1 = dist_avx2(s, px1, py1);
@@ -1018,7 +948,6 @@ mod x86 {
             best1 = _mm256_blendv_pd(best1, v1, lt1);
             arg0 = _mm256_blendv_pd(arg0, idx, lt0);
             arg1 = _mm256_blendv_pd(arg1, idx, lt1);
-            chunk_ub = hmax_avx2(best0, best1);
         }
         let mut roots = [0.0f64; LANES];
         _mm256_storeu_pd(roots.as_mut_ptr(), _mm256_sqrt_pd(best0));
@@ -1034,23 +963,23 @@ mod x86 {
 
     #[target_feature(enable = "avx512f")]
     pub unsafe fn eq3_sum_avx512(frame: &PreparedFrame, sticks: &[PreparedStick; 8]) -> f64 {
-        let sb = StickBounds::new(sticks);
-        let mut total = 0.0;
+        let sb = [StickBounds::new(sticks)];
+        let mut total = [0.0];
         let mut hint = 0u32;
         for c in 0..frame.num_chunks() {
             let (xs, ys) = frame.chunk(c);
-            hint = eq3_chunk_avx512(
+            hint = eq3_chunk_avx512_xn::<1>(
                 xs,
                 ys,
                 frame.chunk_bounds(c),
                 frame.chunk_live(c),
-                sticks,
+                std::slice::from_ref(sticks),
                 &sb,
-                hint,
                 &mut total,
+                hint,
             );
         }
-        total
+        total[0]
     }
 
     #[target_feature(enable = "avx2")]
@@ -1074,83 +1003,28 @@ mod x86 {
         total
     }
 
-    /// One chunk for a *pair* of genomes: the in-order accumulation
-    /// that bit-exactness demands is a serial `f64` add chain (~4
-    /// cycles per point), so a single genome's walk is latency-bound on
-    /// its own running total. Two genomes give the out-of-order core
-    /// two independent chains to overlap — nearly doubling throughput —
-    /// while each genome's arithmetic stays the exact per-genome
-    /// sequence (the pair shares only the chunk's coordinate loads and
-    /// the incoming hint, neither of which can affect the sums).
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eq3_chunk_avx512_x2(
-        xs: &[f64; LANES],
-        ys: &[f64; LANES],
-        bounds: ChunkBounds,
-        live: usize,
-        a: (&[PreparedStick; 8], &StickBounds, &mut f64),
-        b: (&[PreparedStick; 8], &StickBounds, &mut f64),
-        hint: u32,
-    ) -> u32 {
-        let px = _mm512_loadu_pd(xs.as_ptr());
-        let py = _mm512_loadu_pd(ys.as_ptr());
-        let (sticks_a, sb_a, total_a) = a;
-        let (sticks_b, sb_b, total_b) = b;
-        let mut best_a = dist_avx512(&sticks_a[hint as usize], px, py);
-        let mut best_b = dist_avx512(&sticks_b[hint as usize], px, py);
-        let mut arg_b = _mm512_set1_pd(hint as f64);
-        let mut ub_a = _mm512_reduce_max_pd(best_a);
-        let mut ub_b = _mm512_reduce_max_pd(best_b);
-        let mut lbs_a = [0.0f64; 8];
-        let mut lbs_b = [0.0f64; 8];
-        let mut pend_a =
-            stick_survivors_avx512(sb_a, bounds, ub_a * PRUNE_SLACK, &mut lbs_a) & !(1u32 << hint);
-        let mut pend_b =
-            stick_survivors_avx512(sb_b, bounds, ub_b * PRUNE_SLACK, &mut lbs_b) & !(1u32 << hint);
-        while pend_a != 0 {
-            let i = pend_a.trailing_zeros() as usize;
-            pend_a &= pend_a - 1;
-            if lbs_a[i] >= ub_a * PRUNE_SLACK {
-                continue;
-            }
-            let v = dist_avx512(&sticks_a[i], px, py);
-            let smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(v, best_a);
-            best_a = _mm512_mask_blend_pd(smaller, best_a, v);
-            ub_a = _mm512_reduce_max_pd(best_a);
-        }
-        while pend_b != 0 {
-            let i = pend_b.trailing_zeros() as usize;
-            pend_b &= pend_b - 1;
-            if lbs_b[i] >= ub_b * PRUNE_SLACK {
-                continue;
-            }
-            let v = dist_avx512(&sticks_b[i], px, py);
-            let smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(v, best_b);
-            best_b = _mm512_mask_blend_pd(smaller, best_b, v);
-            arg_b = _mm512_mask_blend_pd(smaller, arg_b, _mm512_set1_pd(i as f64));
-            ub_b = _mm512_reduce_max_pd(best_b);
-        }
-        let mut roots_a = [0.0f64; LANES];
-        let mut roots_b = [0.0f64; LANES];
-        _mm512_storeu_pd(roots_a.as_mut_ptr(), _mm512_sqrt_pd(best_a));
-        _mm512_storeu_pd(roots_b.as_mut_ptr(), _mm512_sqrt_pd(best_b));
-        // Two independent in-order chains; the hardware interleaves
-        // them, each one identical to the scalar scan's order.
-        for l in 0..live {
-            *total_a += roots_a[l];
-            *total_b += roots_b[l];
-        }
-        let mut args = [0.0f64; LANES];
-        _mm512_storeu_pd(args.as_mut_ptr(), arg_b);
-        args[live - 1] as u32
-    }
-
-    /// [`eq3_chunk_avx512_x2`] generalised to `N` interleaved genomes:
-    /// `N` independent accumulation chains for the out-of-order core to
-    /// overlap (two f64 add ports at 4-cycle latency saturate around
-    /// 4–8 chains), each chain still the exact scalar-order sum.
+    /// [`eq3_chunk`] on the AVX-512 tier for `N` genomes at once: best
+    /// and arg kept in registers, the strict-less update as mask +
+    /// blend. Returns the last genome's winning stick at the last live
+    /// lane, the chunk's next hint.
+    ///
+    /// Each genome gets one bound test, against the upper bound its
+    /// hint stick sets, and every stick that survives it is scored.
+    /// Nothing re-tests a survivor against the bound as it tightens, and
+    /// that is exact: a survivor the tightened bound would skip has a
+    /// lower bound, times `PRUNE_SLACK`, at or above every lane's
+    /// current best, so its exact distance is strictly smaller in no
+    /// lane and the blend leaves best and arg as they were. Scoring
+    /// those few extra sticks costs less than the re-test's serial
+    /// chain of one lane reduction per survivor.
+    ///
+    /// The `N` genomes share only the chunk's coordinate loads and the
+    /// incoming hint, neither of which can affect a sum. Bit-exactness
+    /// demands each sum be accumulated in pixel order, a serial `f64`
+    /// add chain (~4 cycles per point), so one genome's walk is
+    /// latency-bound on its own running total; `N` genomes give the
+    /// out-of-order core `N` independent chains to overlap (two add
+    /// ports at 4-cycle latency saturate around 4–8 chains).
     #[target_feature(enable = "avx512f")]
     #[inline]
     unsafe fn eq3_chunk_avx512_xn<const N: usize>(
@@ -1166,30 +1040,30 @@ mod x86 {
         let px = _mm512_loadu_pd(xs.as_ptr());
         let py = _mm512_loadu_pd(ys.as_ptr());
         let mut best = [_mm512_setzero_pd(); N];
-        let mut ub = [0.0f64; N];
+        let mut survivors = [0u32; N];
         for g in 0..N {
             best[g] = dist_avx512(&sticks[g][hint as usize], px, py);
-            ub[g] = _mm512_reduce_max_pd(best[g]);
+            // Distances are non-negative, so the lane maximum is
+            // order-independent and matches the generic reduction
+            // exactly.
+            let chunk_ub = _mm512_reduce_max_pd(best[g]);
+            survivors[g] =
+                stick_survivors_avx512(&sbs[g], bounds, chunk_ub * PRUNE_SLACK) & !(1u32 << hint);
         }
         let mut arg_last = _mm512_set1_pd(hint as f64);
         for g in 0..N {
-            let mut lbs = [0.0f64; 8];
-            let mut pending =
-                stick_survivors_avx512(&sbs[g], bounds, ub[g] * PRUNE_SLACK, &mut lbs)
-                    & !(1u32 << hint);
+            let mut pending = survivors[g];
             while pending != 0 {
                 let i = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                if lbs[i] >= ub[g] * PRUNE_SLACK {
-                    continue;
-                }
                 let v = dist_avx512(&sticks[g][i], px, py);
                 let smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(v, best[g]);
                 best[g] = _mm512_mask_blend_pd(smaller, best[g], v);
                 if g == N - 1 {
+                    // Stick indices 0..7 are exact in f64, so blending
+                    // the arg lanes as doubles loses nothing.
                     arg_last = _mm512_mask_blend_pd(smaller, arg_last, _mm512_set1_pd(i as f64));
                 }
-                ub[g] = _mm512_reduce_max_pd(best[g]);
             }
         }
         let mut roots = [[0.0f64; LANES]; N];
@@ -1197,7 +1071,8 @@ mod x86 {
             _mm512_storeu_pd(roots[g].as_mut_ptr(), _mm512_sqrt_pd(best[g]));
         }
         // N independent in-order chains; the hardware interleaves them,
-        // each one identical to the scalar scan's order.
+        // each one identical to the scalar scan's order. Dead tail
+        // lanes duplicate a real point and are not counted.
         for l in 0..live {
             for g in 0..N {
                 totals[g] += roots[g][l];
@@ -1206,6 +1081,32 @@ mod x86 {
         let mut args = [0.0f64; LANES];
         _mm512_storeu_pd(args.as_mut_ptr(), arg_last);
         args[live - 1] as u32
+    }
+
+    /// One walk over the frame for a group of `N` genomes, reading and
+    /// updating the per-chunk hints.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn eq3_group_avx512<const N: usize>(
+        frame: &PreparedFrame,
+        group: &[[PreparedStick; 8]],
+        hints: &mut [u32],
+        totals: &mut [f64],
+    ) {
+        let sbs = std::array::from_fn::<_, N, _>(|g| StickBounds::new(&group[g]));
+        for c in 0..frame.num_chunks() {
+            let (xs, ys) = frame.chunk(c);
+            hints[c] = eq3_chunk_avx512_xn::<N>(
+                xs,
+                ys,
+                frame.chunk_bounds(c),
+                frame.chunk_live(c),
+                group,
+                &sbs,
+                totals,
+                hints[c],
+            );
+        }
     }
 
     #[target_feature(enable = "avx512f")]
@@ -1217,75 +1118,36 @@ mod x86 {
     ) {
         let mut done = 0usize;
         while sticks.len() - done >= 8 {
-            let group = &sticks[done..done + 8];
-            let sbs = std::array::from_fn::<_, 8, _>(|g| StickBounds::new(&group[g]));
-            for c in 0..frame.num_chunks() {
-                let (xs, ys) = frame.chunk(c);
-                hints[c] = eq3_chunk_avx512_xn::<8>(
-                    xs,
-                    ys,
-                    frame.chunk_bounds(c),
-                    frame.chunk_live(c),
-                    group,
-                    &sbs,
-                    &mut totals[done..done + 8],
-                    hints[c],
-                );
-            }
+            eq3_group_avx512::<8>(
+                frame,
+                &sticks[done..done + 8],
+                hints,
+                &mut totals[done..done + 8],
+            );
             done += 8;
         }
-        while sticks.len() - done >= 4 {
-            let quad = &sticks[done..done + 4];
-            let sbs = std::array::from_fn::<_, 4, _>(|g| StickBounds::new(&quad[g]));
-            for c in 0..frame.num_chunks() {
-                let (xs, ys) = frame.chunk(c);
-                hints[c] = eq3_chunk_avx512_xn::<4>(
-                    xs,
-                    ys,
-                    frame.chunk_bounds(c),
-                    frame.chunk_live(c),
-                    quad,
-                    &sbs,
-                    &mut totals[done..done + 4],
-                    hints[c],
-                );
-            }
+        // The rest, widest group first: at most one group each of 4, 2
+        // and 1.
+        if sticks.len() - done >= 4 {
+            eq3_group_avx512::<4>(
+                frame,
+                &sticks[done..done + 4],
+                hints,
+                &mut totals[done..done + 4],
+            );
             done += 4;
         }
         if sticks.len() - done >= 2 {
-            let pair = &sticks[done..done + 2];
-            let sbs = [StickBounds::new(&pair[0]), StickBounds::new(&pair[1])];
-            let (t0, t1) = totals[done..done + 2].split_at_mut(1);
-            for c in 0..frame.num_chunks() {
-                let (xs, ys) = frame.chunk(c);
-                hints[c] = eq3_chunk_avx512_x2(
-                    xs,
-                    ys,
-                    frame.chunk_bounds(c),
-                    frame.chunk_live(c),
-                    (&pair[0], &sbs[0], &mut t0[0]),
-                    (&pair[1], &sbs[1], &mut t1[0]),
-                    hints[c],
-                );
-            }
+            eq3_group_avx512::<2>(
+                frame,
+                &sticks[done..done + 2],
+                hints,
+                &mut totals[done..done + 2],
+            );
             done += 2;
         }
-        // Odd tail: the single-genome walk.
-        for (genome, total) in sticks[done..].iter().zip(totals[done..].iter_mut()) {
-            let sb = StickBounds::new(genome);
-            for c in 0..frame.num_chunks() {
-                let (xs, ys) = frame.chunk(c);
-                hints[c] = eq3_chunk_avx512(
-                    xs,
-                    ys,
-                    frame.chunk_bounds(c),
-                    frame.chunk_live(c),
-                    genome,
-                    &sb,
-                    hints[c],
-                    total,
-                );
-            }
+        if done < sticks.len() {
+            eq3_group_avx512::<1>(frame, &sticks[done..], hints, &mut totals[done..]);
         }
     }
 
@@ -1686,6 +1548,184 @@ mod tests {
                 batch(&fit.frame, &sticks[..len], &mut hints, &mut totals);
                 let got: Vec<u64> = totals.iter().map(|t| (t / n).to_bits()).collect();
                 assert_eq!(got, reference[..len], "{tier}: batch of {len}");
+            }
+        }
+    }
+
+    /// Sticks that survive a chunk's first bound test: the scalar form
+    /// of the SIMD tiers' survivor mask, seeded by the hint stick.
+    fn first_test_survivors(
+        frame: &PreparedFrame,
+        c: usize,
+        sticks: &[PreparedStick; 8],
+        hint: usize,
+    ) -> usize {
+        let (xs, ys) = frame.chunk(c);
+        let seed = &sticks[hint];
+        let degenerate = seed.len_sq <= f64::EPSILON;
+        let chunk_ub = (0..LANES)
+            .map(|l| lane_scaled_distance_sq(seed, degenerate, xs[l], ys[l]))
+            .fold(0.0, f64::max);
+        let b = frame.chunk_bounds(c);
+        sticks
+            .iter()
+            .enumerate()
+            .filter(|&(i, s)| {
+                let dx = (s.min_x - b.max_x).max(b.min_x - s.max_x).max(0.0);
+                let dy = (s.min_y - b.max_y).max(b.min_y - s.max_y).max(0.0);
+                i != hint && (dx * dx + dy * dy) * s.inv_t_sq < chunk_ub * PRUNE_SLACK
+            })
+            .count()
+    }
+
+    /// Forwards to a [`PoseProblem`] and records every genome the GA
+    /// scores, in the order it scores them.
+    struct Recorder<'a> {
+        problem: &'a crate::pose_problem::PoseProblem,
+        scored: std::cell::RefCell<Vec<Pose>>,
+    }
+
+    impl crate::engine::Problem for Recorder<'_> {
+        type Genome = Pose;
+        fn fitness(&self, genome: &Pose) -> f64 {
+            self.scored.borrow_mut().push(*genome);
+            self.problem.fitness(genome)
+        }
+        fn fitness_batch(&self, genomes: &[Pose], out: &mut [f64]) {
+            self.scored.borrow_mut().extend_from_slice(genomes);
+            self.problem.fitness_batch(genomes, out);
+        }
+        fn random_genome(&self, rng: &mut rand::rngs::StdRng) -> Pose {
+            self.problem.random_genome(rng)
+        }
+        fn crossover(&self, a: &Pose, b: &Pose, rng: &mut rand::rngs::StdRng) -> (Pose, Pose) {
+            self.problem.crossover(a, b, rng)
+        }
+        fn mutate(&self, genome: &mut Pose, rng: &mut rand::rngs::StdRng) {
+            self.problem.mutate(genome, rng)
+        }
+        fn is_valid(&self, genome: &Pose) -> bool {
+            self.problem.is_valid(genome)
+        }
+        fn seeds(&self) -> Vec<Pose> {
+            self.problem.seeds()
+        }
+    }
+
+    /// Lane exactness where the first bound test is loose. A served
+    /// job's segmentation (default scene, the causal 8-frame warm-up
+    /// background) leaves dozens of debris specks late in the clip, and
+    /// an 8-point chunk that strings specks and body pixels along one
+    /// scanline has a box no stick's bound can clear: there the hint
+    /// stick prunes almost nothing and the SIMD tiers score nearly
+    /// every stick. Batches of every length from 1 to 17 are drawn from
+    /// the genomes a served-preset GA run scores on such a frame, and
+    /// every tier the host supports must return `evaluate_unpruned`'s
+    /// bits for each genome.
+    #[test]
+    fn every_lane_tier_is_exact_where_the_first_bound_is_loose() {
+        use crate::engine::evolve;
+        use crate::pose_problem::{InitStrategy, PoseProblem};
+        use crate::tracker::TrackerConfig;
+        use rand::SeedableRng;
+        use slj_segment::background::UpdateMode;
+        use slj_segment::{PipelineConfig, SegmentPipeline};
+        use slj_video::{SceneConfig, SyntheticJump};
+
+        type Batch = fn(&PreparedFrame, &[[PreparedStick; 8]], &mut [u32], &mut [f64]);
+        #[allow(unused_mut)] // no SIMD tiers off x86-64
+        let mut tiers: Vec<(&str, Batch)> = vec![("chunked scalar", lanes_eq3_batch_impl)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: the feature was detected at runtime.
+                tiers.push(("avx512f", |f, s, h, t| unsafe {
+                    x86::eq3_batch_avx512(f, s, h, t)
+                }));
+            }
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: the feature was detected at runtime.
+                tiers.push(("avx2", |f, s, h, t| unsafe {
+                    x86::eq3_batch_avx2(f, s, h, t)
+                }));
+            }
+        }
+
+        let jump = SyntheticJump::generate(
+            &SceneConfig::default(),
+            &slj_motion::JumpConfig::default(),
+            5,
+        );
+        let mut segmentation = PipelineConfig::default();
+        segmentation.background.warmup = Some(8);
+        segmentation.background.mode = UpdateMode::LastStable;
+        let segmented = SegmentPipeline::new(segmentation).run(&jump.video).unwrap();
+        let k = 16;
+        let sil = &segmented.frames[k].final_mask;
+        let (dims, camera) = (&jump.jump.dims, &jump.scene.camera);
+
+        // The genomes a served-preset GA run scores on frame k, seeded
+        // from the true pose of frame k − 1.
+        let served = TrackerConfig::fast();
+        let problem = PoseProblem::new(
+            sil,
+            dims,
+            camera,
+            InitStrategy::Temporal {
+                previous: jump.poses.poses()[k - 1],
+                delta_center: served.delta_center,
+                delta_angles: served.delta_angles,
+            },
+            served.problem,
+        )
+        .unwrap();
+        let recorder = Recorder {
+            problem: &problem,
+            scored: std::cell::RefCell::new(Vec::new()),
+        };
+        evolve(
+            &recorder,
+            &served.ga,
+            &mut rand::rngs::StdRng::seed_from_u64(served.seed),
+        )
+        .unwrap();
+        let genomes = recorder.scored.into_inner();
+        assert!(genomes.len() >= 200, "{} genomes scored", genomes.len());
+
+        let fit =
+            SilhouetteFitness::with_outside_weight(sil, dims, camera, served.problem.stride, 0.0)
+                .unwrap();
+        let n = fit.frame.len() as f64;
+        let sticks: Vec<[PreparedStick; 8]> =
+            genomes.iter().map(|p| fit.project(p, dims)).collect();
+
+        // The frame is as loose as described: for over a tenth of the
+        // (genome, chunk) pairs (about a fifth at the time of writing)
+        // the first test keeps at least six of the seven sticks besides
+        // the hint.
+        let pairs = sticks.len() * fit.frame.num_chunks();
+        let loose = sticks
+            .iter()
+            .flat_map(|g| (0..fit.frame.num_chunks()).map(move |c| (g, c)))
+            .filter(|&(g, c)| first_test_survivors(&fit.frame, c, g, 0) >= 6)
+            .count();
+        assert!(loose * 10 >= pairs, "{loose} of {pairs} pairs loose");
+
+        for len in 1..=17 {
+            for draw in 0..4 {
+                let start = (draw * 131 + len * 17) % (sticks.len() - len);
+                let batch = &sticks[start..start + len];
+                let reference: Vec<u64> = genomes[start..start + len]
+                    .iter()
+                    .map(|p| fit.evaluate_unpruned(p, dims).to_bits())
+                    .collect();
+                for &(tier, walk) in &tiers {
+                    let mut hints = vec![0u32; fit.frame.num_chunks()];
+                    let mut totals = vec![0.0f64; len];
+                    walk(&fit.frame, batch, &mut hints, &mut totals);
+                    let got: Vec<u64> = totals.iter().map(|t| (t / n).to_bits()).collect();
+                    assert_eq!(got, reference, "{tier}: batch of {len} at {start}");
+                }
             }
         }
     }

@@ -622,44 +622,44 @@ impl Problem for PoseProblem {
     /// real pipeline produces.
     ///
     /// The samples are `Segment::sample_iter`'s, with their fractions
-    /// computed once per problem. They are read stick by stick from the
-    /// chamfer field, as raw values against per-stick integer limits,
-    /// and the walk stops as soon as the count decides the verdict.
-    /// Equal to the full fraction test (property-tested against
-    /// `inside_fraction`).
+    /// computed once per problem. The sticks come from the lazy
+    /// forward-kinematics walk, so only the sticks reached pay for
+    /// their sine and cosine. Each sample is mapped to its pixel by
+    /// [`DistanceField::pixel_at`] (exactly `f64::round`'s pixel) and
+    /// its raw chamfer value compared with the stick's integer limit.
+    /// A stick's samples are counted without branching, and the verdict
+    /// is decided at stick boundaries: `inside >= needed` and
+    /// `outside > spare` cannot both hold, since `needed + spare` is
+    /// the sample count, and whichever holds first holds for the full
+    /// count too. Equal to the full fraction test (property-tested
+    /// against `inside_fraction`).
     fn is_valid(&self, genome: &Pose) -> bool {
         let rule = &self.validity;
         if rule.needed == 0 {
             return true;
         }
         let df = self.fitness.distance_field();
-        let (w, h, raw) = (df.width(), df.height(), df.raw_values());
-        let (mut inside, mut spare) = (0, rule.spare);
-        for (stick, seg) in genome.segments(&self.dims).iter() {
+        let (w, raw) = (df.width(), df.raw_values());
+        let (mut inside, mut outside) = (0, 0);
+        for (stick, seg) in genome.segment_iter(&self.dims) {
             let limit = rule.raw_limits[stick.index()];
             let s_px = self.camera.segment_to_image(seg);
+            let mut stick_inside = 0;
             for &t in &rule.fractions {
-                let p = s_px.a.lerp(s_px.b, t);
-                let (x, y) = (p.x.round(), p.y.round());
-                if x >= 0.0
-                    && y >= 0.0
-                    && (x as usize) < w
-                    && (y as usize) < h
-                    && raw[y as usize * w + x as usize] < limit
-                {
-                    inside += 1;
-                    if inside == rule.needed {
-                        return true;
-                    }
-                } else if spare == 0 {
-                    return false;
-                } else {
-                    spare -= 1;
-                }
+                let pixel = df.pixel_at(s_px.a.lerp(s_px.b, t));
+                stick_inside += usize::from(pixel.is_some_and(|(x, y)| raw[y * w + x] < limit));
+            }
+            inside += stick_inside;
+            outside += rule.fractions.len() - stick_inside;
+            if inside >= rule.needed {
+                return true;
+            }
+            if outside > rule.spare {
+                return false;
             }
         }
-        // Not reached: by the last sample one of the returns above has
-        // fired, since `needed + spare` is the sample count.
+        // Not reached: after the last stick `inside + outside` is the
+        // sample count, so one of the returns above has fired.
         inside >= rule.needed
     }
 

@@ -52,8 +52,18 @@ fn fixture() -> (slj_imgproc::mask::Mask, BodyDims, Camera, Pose) {
     (sil, dims, camera, pose)
 }
 
+/// 24 cases per property, unless `PROPTEST_CASES` is set: CI runs the
+/// suite again in release at a much larger count.
+fn config() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(config())]
 
     // ---------- engine ----------
 

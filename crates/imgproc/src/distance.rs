@@ -10,6 +10,7 @@
 //! approximates Euclidean distance to within ~8% and is computed in two
 //! raster passes over the image.
 
+use crate::geometry::Point2;
 use crate::mask::Mask;
 
 /// A per-pixel map of approximate distances (in pixels) to the nearest
@@ -146,6 +147,20 @@ impl DistanceField {
         }
     }
 
+    /// The pixel `(x, y)` that `p` rounds to, each coordinate rounded
+    /// half away from zero as [`f64::round`] rounds it, or `None` when
+    /// that pixel is off the field (NaN included). Exact, without the
+    /// two libm calls: a coordinate rounds into `0..n` exactly when it
+    /// lies in `(−0.5, n − 0.5)`, and there it rounds to its truncation,
+    /// plus one when the fraction is at least ½.
+    #[inline]
+    pub fn pixel_at(&self, p: Point2) -> Option<(usize, usize)> {
+        Some((
+            round_index(p.x, self.width)?,
+            round_index(p.y, self.height)?,
+        ))
+    }
+
     /// Largest finite distance in the field, or `None` when the source was
     /// blank.
     pub fn max_distance(&self) -> Option<f64> {
@@ -190,6 +205,21 @@ impl DistanceField {
         }
         limit
     }
+}
+
+/// `v.round()` as an index into `0..n`, or `None` when it falls
+/// outside. `n − 0.5` is exact for any image-sized `n` (below 2⁵²).
+#[inline]
+fn round_index(v: f64, n: usize) -> Option<usize> {
+    // Written so that NaN, which fails every comparison, falls outside.
+    if !(v > -0.5 && v < n as f64 - 0.5) {
+        return None;
+    }
+    // The cast truncates, and takes `(−0.5, 0)` to 0, where `round`
+    // takes it too (as −0.0). `v − whole` is exact: Sterbenz for
+    // `v ≥ 1`, and `whole = 0` below that.
+    let whole = v as usize;
+    Some(whole + usize::from(v - whole as f64 >= 0.5))
 }
 
 /// Folds the finished neighbouring row `near` (the row above on the

@@ -187,6 +187,53 @@ proptest! {
         }
     }
 
+    /// `DistanceField::pixel_at` finds the pixel that rounding each
+    /// coordinate with `f64::round` finds, or none when that is off the
+    /// field: at ±0.5, ±0.49999999999999994 (where `floor(v + 0.5)`
+    /// goes wrong), `n − 0.5` and the value just below it, ±0, NaN,
+    /// ±inf, ±1e300, half-integers and their neighbours, and anywhere
+    /// within two pixels of the field, on fields down to 0×0.
+    #[test]
+    fn pixel_at_rounds_like_f64_round(
+        (w, h) in (0usize..12, 0usize..12),
+        picks in (0usize..19, 0usize..19),
+        units in (-1.0f64..1.0, -1.0f64..1.0),
+    ) {
+        let df = DistanceField::new(&Mask::new(w, h));
+        let coord = |pick: usize, unit: f64, n: usize| {
+            let n = n as f64;
+            let half = (unit * (n + 2.0)).floor() + 0.5;
+            [
+                0.5,
+                -0.5,
+                0.49999999999999994,
+                -0.49999999999999994,
+                n - 0.5,
+                (n - 0.5).next_down(),
+                -0.0,
+                0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                1e300,
+                -1e300,
+                half,
+                half.next_down(),
+                half.next_up(),
+                unit * (n + 2.0),
+                n + unit,
+            ]
+            .get(pick)
+            .copied()
+            .unwrap_or(unit * 0.75)
+        };
+        let p = Point2::new(coord(picks.0, units.0, w), coord(picks.1, units.1, h));
+        let (x, y) = (p.x.round(), p.y.round());
+        let expected = (x >= 0.0 && y >= 0.0 && (x as usize) < w && (y as usize) < h)
+            .then_some((x as usize, y as usize));
+        prop_assert_eq!(df.pixel_at(p), expected, "{:?} on {}x{}", p, w, h);
+    }
+
     // ---------- geometry ----------
 
     #[test]

@@ -33,13 +33,34 @@ impl Angle {
 
     /// Creates an angle from degrees, wrapping into `[0, 360)`.
     ///
+    /// On `(−360, 720)`, where every GA operator lands, `rem_euclid`
+    /// reduces to at most one add or subtract of 360, so that is
+    /// computed directly, with the same rounding. A negative input
+    /// within 2⁻⁴⁵ of zero rounds up to `360.0` on that add; it is 0°.
+    ///
     /// # Panics
     ///
     /// Panics if `deg` is not finite (a NaN angle would silently poison
     /// the GA's fitness ordering).
     pub fn from_degrees(deg: f64) -> Self {
         assert!(deg.is_finite(), "angle must be finite, got {deg}");
-        Angle(deg.rem_euclid(360.0))
+        let wrapped = if (0.0..360.0).contains(&deg) {
+            deg
+        } else if deg < 0.0 && deg > -360.0 {
+            let up = deg + 360.0;
+            if up == 360.0 {
+                0.0
+            } else {
+                up
+            }
+        } else if (360.0..720.0).contains(&deg) {
+            deg - 360.0
+        } else {
+            // Any non-zero remainder here is at least one ulp of 360 in
+            // size, so the add inside cannot round up to 360.
+            deg.rem_euclid(360.0)
+        };
+        Angle(wrapped)
     }
 
     /// Creates an angle from radians.
@@ -141,6 +162,27 @@ mod tests {
         assert_eq!(Angle::from_degrees(-30.0).degrees(), 330.0);
         assert_eq!(Angle::from_degrees(720.0).degrees(), 0.0);
         assert_eq!(Angle::from_degrees(359.999).degrees(), 359.999);
+    }
+
+    #[test]
+    fn tiny_negative_wraps_to_zero_not_360() {
+        // `rem_euclid` rounds `r + 360` up to 360.0 for these; the last
+        // is -2⁻⁴⁵, half an ulp of 360, where the tie goes to 360.
+        for deg in [
+            -1e-15,
+            -2.8e-14,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -2.842170943040401e-14,
+        ] {
+            let a = Angle::from_degrees(deg);
+            assert_eq!(a.degrees(), 0.0, "from_degrees({deg:e})");
+            assert_eq!(a.raw_diff(Angle::UP), 0.0);
+        }
+        // A whole ulp of 360 below zero is representable below 360.
+        let below = Angle::from_degrees(-5.684341886080802e-14).degrees();
+        assert_eq!(below, 360.0 - 5.684341886080802e-14);
+        assert!(below < 360.0, "{below}");
     }
 
     #[test]

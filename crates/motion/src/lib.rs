@@ -52,6 +52,6 @@ pub use angle::Angle;
 pub use error::MotionError;
 pub use model::{BodyDims, StickKind, GENE_GROUPS, STICK_COUNT};
 pub use phases::{classify_phases, JumpPhase};
-pub use pose::{Pose, PoseError, StickSegments};
+pub use pose::{Pose, PoseError, SegmentIter, StickSegments};
 pub use seq::PoseSeq;
 pub use synth::{synthesize_jump, JumpConfig, JumpFlaw};

@@ -2,11 +2,12 @@
 //!
 //! A [`Pose`] is exactly the paper's chromosome
 //! `(x0, y0, ρ0, ρ1, …, ρ7)`: the centre of the trunk stick plus one
-//! angle per stick. [`Pose::segments`] runs the forward kinematics of
-//! Figure 4 — each stick is anchored at its parent's far end (the end
-//! "nearer to the trunk" is the anchored one, per Figure 5) — yielding
-//! the eight line segments the renderer thickens into a silhouette and
-//! the fitness function measures distances to.
+//! angle per stick. [`Pose::segment_iter`] runs the forward kinematics
+//! of Figure 4 — each stick is anchored at its parent's far end (the end
+//! "nearer to the trunk" is the anchored one, per Figure 5) — one stick
+//! at a time, and [`Pose::segments`] collects it into the eight line
+//! segments the renderer thickens into a silhouette and the fitness
+//! function measures distances to.
 
 use crate::angle::Angle;
 use crate::error::MotionError;
@@ -31,6 +32,21 @@ pub struct Pose {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StickSegments {
     segments: [Segment; STICK_COUNT],
+}
+
+/// Forward kinematics one stick at a time, in paper-index order
+/// ([`Pose::segment_iter`]). Each step computes one stick's direction,
+/// one sine and one cosine, from joints already placed, so a caller
+/// that stops early pays nothing for the sticks it never reached. Every
+/// parent precedes its children in paper order.
+#[derive(Debug, Clone)]
+pub struct SegmentIter<'a> {
+    pose: &'a Pose,
+    dims: &'a BodyDims,
+    /// The segments placed so far, by paper index.
+    placed: [Segment; STICK_COUNT],
+    /// Paper index of the next stick.
+    next: usize,
 }
 
 /// The discrepancy between two poses, produced by [`Pose::error_against`].
@@ -86,33 +102,29 @@ impl Pose {
         self
     }
 
-    /// Forward kinematics: the world-space segment of every stick.
+    /// Forward kinematics: the world-space segment of every stick,
+    /// collected from [`Pose::segment_iter`].
+    pub fn segments(&self, dims: &BodyDims) -> StickSegments {
+        let mut segments = [Segment::new(Point2::origin(), Point2::origin()); STICK_COUNT];
+        for (stick, segment) in self.segment_iter(dims) {
+            segments[stick.index()] = segment;
+        }
+        StickSegments { segments }
+    }
+
+    /// Forward kinematics as a lazy walk: `(stick, segment)` pairs in
+    /// paper-index order, each computed when it is reached.
     ///
     /// Anchors per Figure 4/5: the trunk's segment runs hip → shoulder
     /// with `center` at its middle; neck, upper arm anchor at the
     /// shoulder; thigh anchors at the hip; head, forearm, shank, foot
     /// anchor at their parent's distal end.
-    pub fn segments(&self, dims: &BodyDims) -> StickSegments {
-        let dir = |s: StickKind| -> Vec2 {
-            let (dx, dy) = self.angle(s).direction();
-            Vec2::new(dx, dy) * dims.length(s)
-        };
-
-        let half_trunk = dir(StickKind::Trunk) * 0.5;
-        let hip = self.center - half_trunk;
-        let shoulder = self.center + half_trunk;
-
-        let trunk = Segment::new(hip, shoulder);
-        let neck = Segment::new(shoulder, shoulder + dir(StickKind::Neck));
-        let head = Segment::new(neck.b, neck.b + dir(StickKind::Head));
-        let upper_arm = Segment::new(shoulder, shoulder + dir(StickKind::UpperArm));
-        let forearm = Segment::new(upper_arm.b, upper_arm.b + dir(StickKind::Forearm));
-        let thigh = Segment::new(hip, hip + dir(StickKind::Thigh));
-        let shank = Segment::new(thigh.b, thigh.b + dir(StickKind::Shank));
-        let foot = Segment::new(shank.b, shank.b + dir(StickKind::Foot));
-
-        StickSegments {
-            segments: [trunk, neck, upper_arm, thigh, head, forearm, shank, foot],
+    pub fn segment_iter<'a>(&'a self, dims: &'a BodyDims) -> SegmentIter<'a> {
+        SegmentIter {
+            pose: self,
+            dims,
+            placed: [Segment::new(Point2::origin(), Point2::origin()); STICK_COUNT],
+            next: 0,
         }
     }
 
@@ -194,6 +206,43 @@ impl fmt::Display for Pose {
         write!(f, "]")
     }
 }
+
+impl Iterator for SegmentIter<'_> {
+    type Item = (StickKind, Segment);
+
+    fn next(&mut self) -> Option<(StickKind, Segment)> {
+        let stick = StickKind::try_from_index(self.next)?;
+        let (dx, dy) = self.pose.angle(stick).direction();
+        let dir = Vec2::new(dx, dy) * self.dims.length(stick);
+        let segment = match stick.parent() {
+            None => {
+                let half_trunk = dir * 0.5;
+                Segment::new(self.pose.center - half_trunk, self.pose.center + half_trunk)
+            }
+            Some(parent) => {
+                let joint = self.placed[parent.index()];
+                // The thigh hangs from the trunk's hip end, every other
+                // stick from its parent's far end.
+                let anchor = if stick == StickKind::Thigh {
+                    joint.a
+                } else {
+                    joint.b
+                };
+                Segment::new(anchor, anchor + dir)
+            }
+        };
+        self.placed[stick.index()] = segment;
+        self.next += 1;
+        Some((stick, segment))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = STICK_COUNT - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for SegmentIter<'_> {}
 
 impl StickSegments {
     /// The segment of one stick.

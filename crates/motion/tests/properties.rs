@@ -3,7 +3,8 @@
 //! synthesiser guarantees.
 
 use proptest::prelude::*;
-use slj_motion::model::{ALL_STICKS, GENE_COUNT};
+use slj_imgproc::geometry::{Segment, Vec2};
+use slj_motion::model::{StickKind, ALL_STICKS, GENE_COUNT};
 use slj_motion::synth::perturb_pose;
 use slj_motion::{synthesize_jump, Angle, BodyDims, JumpConfig, JumpFlaw, Pose, PoseSeq};
 
@@ -26,8 +27,64 @@ fn pose_strategy() -> impl Strategy<Value = Pose> {
         })
 }
 
+/// The forward kinematics of Figure 4 written out stick by stick, with
+/// the same arithmetic but no walk: the oracle for `Pose::segment_iter`,
+/// in paper-index order.
+fn closed_form_segments(p: &Pose, dims: &BodyDims) -> [Segment; 8] {
+    let dir = |s: StickKind| {
+        let (dx, dy) = p.angle(s).direction();
+        Vec2::new(dx, dy) * dims.length(s)
+    };
+    let half_trunk = dir(StickKind::Trunk) * 0.5;
+    let hip = p.center - half_trunk;
+    let shoulder = p.center + half_trunk;
+    let neck = Segment::new(shoulder, shoulder + dir(StickKind::Neck));
+    let upper_arm = Segment::new(shoulder, shoulder + dir(StickKind::UpperArm));
+    let thigh = Segment::new(hip, hip + dir(StickKind::Thigh));
+    let shank = Segment::new(thigh.b, thigh.b + dir(StickKind::Shank));
+    [
+        Segment::new(hip, shoulder),
+        neck,
+        upper_arm,
+        thigh,
+        Segment::new(neck.b, neck.b + dir(StickKind::Head)),
+        Segment::new(upper_arm.b, upper_arm.b + dir(StickKind::Forearm)),
+        shank,
+        Segment::new(shank.b, shank.b + dir(StickKind::Foot)),
+    ]
+}
+
+fn segment_bits(s: &Segment) -> [u64; 4] {
+    [s.a.x, s.a.y, s.b.x, s.b.y].map(f64::to_bits)
+}
+
 proptest! {
     // ---------- angles ----------
+
+    /// `from_degrees` returns `rem_euclid`'s bits wherever `rem_euclid`
+    /// keeps the `[0, 360)` contract, and 0° where it rounds up to 360:
+    /// across and around the fast path's span `(−360, 720)`, within a
+    /// few ulps of its edges and of 0 and 360, at tiny magnitudes on
+    /// both sides of the 2⁻⁴⁵ rounding boundary, and at any finite bit
+    /// pattern.
+    #[test]
+    fn angle_fast_path_matches_rem_euclid(
+        pick in 0u8..4,
+        unit in -1.0f64..1.0,
+        bits in any::<u64>(),
+    ) {
+        let deg = match pick {
+            0 => unit * 800.0 + 160.0,
+            1 => [-360.0, 0.0, 360.0, 720.0][(bits % 4) as usize] + unit * 1e-12,
+            2 => f64::from_bits(bits % 0x3D30_0000_0000_0000).copysign(unit),
+            _ => f64::from_bits(bits),
+        };
+        prop_assume!(deg.is_finite());
+        let reference = deg.rem_euclid(360.0);
+        let got = Angle::from_degrees(deg).degrees();
+        let want = if reference < 360.0 { reference } else { 0.0 };
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "from_degrees({:e})", deg);
+    }
 
     #[test]
     fn angle_is_normalised(a in angle_strategy()) {
@@ -105,6 +162,34 @@ proptest! {
         let (x0, y0, x1, y1) = segs.bounds();
         prop_assert!(p.center.x >= x0 - 1e-9 && p.center.x <= x1 + 1e-9);
         prop_assert!(p.center.y >= y0 - 1e-9 && p.center.y <= y1 + 1e-9);
+    }
+
+    /// The lazy walk yields the closed-form segments bit for bit, in
+    /// paper order, `segments` collects exactly them, and a walk cut
+    /// short yields a prefix of them.
+    #[test]
+    fn lazy_walk_yields_the_closed_form_segments(
+        p in pose_strategy(),
+        height in 1.1f64..2.1,
+        stop in 0usize..=8,
+    ) {
+        let dims = BodyDims::for_height(height);
+        let reference = closed_form_segments(&p, &dims);
+        let walked: Vec<(StickKind, Segment)> = p.segment_iter(&dims).collect();
+        prop_assert_eq!(walked.len(), 8);
+        for (i, ((stick, seg), want)) in walked.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(stick.index(), i);
+            prop_assert_eq!(segment_bits(seg), segment_bits(want), "stick {}", stick);
+        }
+        let collected = p.segments(&dims);
+        for (seg, want) in collected.as_array().iter().zip(&reference) {
+            prop_assert_eq!(segment_bits(seg), segment_bits(want));
+        }
+        let mut cut = p.segment_iter(&dims);
+        prop_assert_eq!(cut.len(), 8);
+        let prefix: Vec<(StickKind, Segment)> = cut.by_ref().take(stop).collect();
+        prop_assert_eq!(cut.len(), 8 - stop);
+        prop_assert_eq!(&prefix[..], &walked[..stop]);
     }
 
     #[test]
