@@ -555,3 +555,63 @@ fn a_daemon_process_always_answers_its_wire_drain() {
         assert!(rest.starts_with("daemon drained:"), "cycle {cycle}: {rest}");
     }
 }
+
+#[test]
+fn first_pose_angles_a_turn_apart_give_the_same_report() {
+    // A `truth.json` first pose whose angles are whole degrees, then the
+    // same pose with every angle 360° more and 360° less: reading the
+    // file normalises each angle to the same bits, so the served
+    // analysis must report byte for byte the same.
+    let dir = temp_clip("turn");
+    invoke(&format!(
+        "synth --out {} --seed 7 --compact --clean",
+        dir.display()
+    ))
+    .unwrap();
+    let truth_path = dir.join("truth.json");
+    let truth: serde::Value = serde_json::from_str(&std::fs::read_to_string(&truth_path).unwrap())
+        .expect("truth.json parses");
+    let with_angles = |shift: f64| {
+        let mut value = truth.clone();
+        let serde::Value::Object(entries) = &mut value else {
+            panic!("truth.json is an object")
+        };
+        let pose = &mut entries
+            .iter_mut()
+            .find(|(k, _)| k == "first_pose")
+            .unwrap()
+            .1;
+        let serde::Value::Object(pose) = pose else {
+            panic!("first_pose is an object")
+        };
+        let angles = &mut pose.iter_mut().find(|(k, _)| k == "angles").unwrap().1;
+        let serde::Value::Array(angles) = angles else {
+            panic!("angles is an array")
+        };
+        for angle in angles.iter_mut() {
+            let degrees = match angle {
+                serde::Value::F64(v) => *v,
+                serde::Value::I64(v) => *v as f64,
+                other => panic!("angle {other:?}"),
+            };
+            *angle = serde::Value::F64(degrees.round() + shift);
+        }
+        serde_json::to_string(&value).unwrap()
+    };
+    let mut reports = Vec::new();
+    for shift in [0.0, 360.0, -360.0] {
+        std::fs::write(&truth_path, with_angles(shift)).unwrap();
+        let report = dir.join(format!("report_{shift}.json"));
+        invoke(&format!(
+            "analyze --clip {} --stream --fast --best-effort --max-degraded 10 --warmup 8 \
+             --report {}",
+            dir.display(),
+            report.display()
+        ))
+        .unwrap();
+        reports.push(std::fs::read(&report).unwrap());
+    }
+    assert!(reports[0] == reports[1], "+360° changed the report");
+    assert!(reports[0] == reports[2], "−360° changed the report");
+    std::fs::remove_dir_all(&dir).ok();
+}

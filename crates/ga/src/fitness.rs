@@ -29,24 +29,27 @@
 //! never exceeds the true stick distance and the skip test carries a
 //! slack factor that dominates the rounding error of both computations.
 //!
-//! The GA evaluates through the **lane kernel**
-//! ([`SilhouetteFitness::evaluate_lanes`] /
-//! [`SilhouetteFitness::evaluate_batch`]); the scalar scans are the
+//! The GA evaluates through the **cluster walk**
+//! ([`SilhouetteFitness::evaluate_batch`]); the scalar scans are the
 //! oracles it is tested against. The sampled points live in a
-//! [`PreparedFrame`] — structure-of-arrays x[]/y[] planes chunked
-//! [`LANES`] wide — and the per-pixel min-over-sticks runs across a
-//! whole chunk at a time, with the branch-and-bound test lifted to
-//! chunk granularity (skip a stick for all 8 lanes when the distance
-//! between the chunk's bounding box and the stick's AABB already
-//! exceeds the worst lane's current best). Every lane performs exactly
-//! the scalar arithmetic on exactly the same values and the final sum
-//! is accumulated in original pixel order, so the result is
-//! bit-identical to both scalar paths — that equivalence is what the
-//! `lanes_*` property tests pin down.
+//! [`PreparedFrame`], which keeps them in raster order and also sorts
+//! them by Morton key into [`CLUSTER`]-point clusters, each with its
+//! bounding box. Per cluster and genome, the walk scores the hint stick
+//! on all 16 points, tests every other stick's box against the
+//! cluster's box once (a stick is skipped for all lanes when that
+//! distance already exceeds the worst lane's best), scores the
+//! survivors, and stores each point's square root at its walk slot.
+//! Each genome's roots are then summed in raster order through the
+//! frame's slot map. Every lane performs exactly the scalar arithmetic
+//! on the same values, and the sum adds the same values in the same
+//! order as the scalar scan, so the result is bit-identical to both
+//! scalar paths — the equivalence the lane tests here and in
+//! `tests/properties.rs` pin down for every
+//! [`LaneTier`] the host supports.
 
 use crate::error::GaError;
 use slj_imgproc::geometry::{Point2, Vec2};
-use slj_imgproc::lanes::{ChunkBounds, PreparedFrame, LANES};
+use slj_imgproc::lanes::{ClusterBounds, PreparedFrame, CLUSTER};
 use slj_imgproc::mask::Mask;
 use slj_motion::model::ALL_STICKS;
 use slj_motion::{BodyDims, Pose};
@@ -152,9 +155,9 @@ impl PreparedStick {
 /// `outside_weight` (0 recovers the paper's pure Eq. 3).
 #[derive(Debug, Clone)]
 pub struct SilhouetteFitness {
-    /// Silhouette pixel centres in image space, laid out as
-    /// lane-chunked structure-of-arrays planes. The scalar paths read
-    /// the same coordinates through [`PreparedFrame::iter`].
+    /// Silhouette pixel centres in image space, in raster order and as
+    /// Morton-ordered clusters. The scalar paths read the raster order
+    /// through [`PreparedFrame::iter`], the cluster walk the clusters.
     frame: PreparedFrame,
     /// Total silhouette pixel count N (before subsampling).
     total_points: usize,
@@ -314,28 +317,15 @@ impl SilhouetteFitness {
         }
     }
 
-    /// Evaluates the full cost via the lane kernel: chunked
-    /// structure-of-arrays Eq. 3 with chunk-granular branch-and-bound.
-    /// Bit-identical to [`SilhouetteFitness::evaluate`] and
-    /// [`SilhouetteFitness::evaluate_unpruned`] (property-tested).
-    pub fn evaluate_lanes(&self, pose: &Pose, dims: &BodyDims) -> f64 {
-        let sticks = self.project(pose, dims);
-        let eq3 = lanes_eq3_sum(&self.frame, &sticks) / self.frame.len() as f64;
-        if self.outside_weight == 0.0 {
-            eq3
-        } else {
-            eq3 + self.outside_weight * self.outside_penalty_from_sticks(&sticks)
-        }
-    }
-
     /// Evaluates a whole batch of poses against the prepared frame in
-    /// one pass: every pose is projected up front, then the frame is
-    /// walked chunk-outer / genome-inner so each chunk's coordinates
-    /// stay hot across the population, and the per-chunk prune hints in
-    /// `scratch` are shared across genomes (and across calls — hints
-    /// only steer which redundant sticks get bound-tested first, never
-    /// the returned values). `out[i]` receives exactly what
-    /// [`SilhouetteFitness::evaluate`] returns for `poses[i]`.
+    /// one cluster walk on the fastest [`LaneTier`] the host supports:
+    /// every pose is projected up front, then the frame is walked
+    /// cluster-outer / genome-inner in groups of up to 8 genomes, so
+    /// each cluster's coordinates stay hot across a group. The
+    /// per-cluster prune hints in `scratch` are shared across genomes
+    /// and across calls — hints only steer which redundant sticks get
+    /// scored, never the returned values. `out[i]` receives exactly
+    /// what [`SilhouetteFitness::evaluate`] returns for `poses[i]`.
     ///
     /// With a warmed `scratch`, the call performs no heap allocation
     /// (asserted by `tests/zero_alloc.rs`).
@@ -350,18 +340,56 @@ impl SilhouetteFitness {
         out: &mut [f64],
         scratch: &mut BatchScratch,
     ) {
+        self.evaluate_batch_on(LaneTier::fastest(), poses, dims, out, scratch);
+    }
+
+    /// [`SilhouetteFitness::evaluate_batch`] on an explicit tier, so
+    /// tests can run every tier the host supports. Every tier returns
+    /// the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `poses` and `out` differ in length, or when the host
+    /// cannot run `tier`.
+    pub fn evaluate_batch_on(
+        &self,
+        tier: LaneTier,
+        poses: &[Pose],
+        dims: &BodyDims,
+        out: &mut [f64],
+        scratch: &mut BatchScratch,
+    ) {
         assert_eq!(poses.len(), out.len(), "evaluate_batch length mismatch");
+        assert!(
+            tier.is_supported(),
+            "{tier:?} is not supported on this host"
+        );
         scratch.sticks.clear();
         scratch.sticks.reserve(poses.len());
         for pose in poses {
             scratch.sticks.push(self.project(pose, dims));
         }
-        if scratch.hints.len() != self.frame.num_chunks() {
+        let clusters = self.frame.num_clusters();
+        if scratch.hints.len() != clusters {
             scratch.hints.clear();
-            scratch.hints.resize(self.frame.num_chunks(), 0);
+            scratch.hints.resize(clusters, 0);
         }
-        out.fill(0.0);
-        lanes_eq3_batch(&self.frame, &scratch.sticks, &mut scratch.hints, out);
+        // Sized for the widest group whatever the batch, so the first
+        // call on a frame sizes it for every later one.
+        let roots = GROUP * self.frame.walk_len();
+        if scratch.roots.len() < roots {
+            scratch.roots.resize(roots, 0.0);
+        }
+        // SAFETY: the host supports `tier`, asserted above.
+        unsafe {
+            tier.walk(
+                &self.frame,
+                &scratch.sticks,
+                &mut scratch.hints,
+                &mut scratch.roots,
+                out,
+            )
+        };
         let n = self.frame.len() as f64;
         for (slot, sticks) in out.iter_mut().zip(&scratch.sticks) {
             *slot /= n;
@@ -516,42 +544,163 @@ impl SilhouetteFitness {
 }
 
 /// Reusable scratch for [`SilhouetteFitness::evaluate_batch`]: the
-/// batch's prepared stick sets plus the per-chunk prune hints shared
-/// across genomes. Hints persist across calls on purpose — a hint only
-/// decides which stick seeds a chunk's lane minima (work saving), never
-/// the returned values, so carrying them between generations is free
-/// warm-up.
+/// batch's prepared stick sets, the per-cluster prune hints shared
+/// across genomes, and one walk group's per-genome roots buffers. Hints
+/// persist across calls on purpose — a hint only decides which stick
+/// seeds a cluster's lane minima (work saving), never the returned
+/// values, so carrying them between generations is free warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     sticks: Vec<[PreparedStick; 8]>,
     hints: Vec<u32>,
+    /// Up to [`GROUP`] genomes' square roots, genome-major, each
+    /// `walk_len` long and indexed by walk slot.
+    roots: Vec<f64>,
 }
 
-// --- lane kernel -----------------------------------------------------
+// --- cluster walk ----------------------------------------------------
 //
-// The kernel processes one LANES-wide chunk of silhouette points per
-// iteration. Bit-exactness with the scalar paths rests on three facts:
+// The walk scores the frame one CLUSTER-point, Morton-ordered cluster
+// at a time (see `slj_imgproc::lanes`) and stores each point's square
+// root at its walk slot; each genome's roots are then summed in raster
+// order through the frame's slot map. Bit-exactness with the scalar
+// scans rests on three facts:
 //
 // 1. Each lane performs the exact scalar `scaled_distance_sq` f64
 //    sequence on the same coordinates, and a minimum over the same
-//    positive values is order-independent — so per-lane minima match
-//    the scalar per-pixel minima bit-for-bit.
-// 2. The chunk-level skip test only ever under-prunes: the stick-AABB
-//    to chunk-bounds distance lower-bounds every lane's point-to-AABB
-//    bound, and the test compares it against the *worst* lane's current
-//    best (times the same `PRUNE_SLACK` the scalar test uses), so a
-//    skipped stick could not have won in any lane.
-// 3. f64 addition is order-sensitive, so the final sum is accumulated
-//    lane by lane in original pixel order — per-chunk partial sums
-//    would round differently.
+//    non-negative values does not depend on the order they are visited
+//    in — so per-lane minima match the scalar per-pixel minima
+//    bit-for-bit, whichever stick seeds them.
+// 2. The cluster-level skip test only ever under-prunes: the stick-AABB
+//    to cluster-box distance lower-bounds every lane's point-to-AABB
+//    bound, and the test compares it against the *worst* lane's best
+//    after the hint stick (times the same `PRUNE_SLACK` the scalar test
+//    uses), so a skipped stick could not have won in any lane. Every
+//    survivor is scored; one that a tighter bound would have skipped is
+//    strictly smaller in no lane, so the strict-less blend keeps the
+//    lane's value.
+// 3. f64 addition is order-sensitive, so the sum reads the roots back
+//    in raster order — `roots[slot[i]]` for `i` in `0..n` — and adds
+//    the very values the scalar scan adds, in its order. Padding lanes
+//    write the slots at and above `n`, which the sum never reads.
 //
-// `#[target_feature]` wrappers recompile the same `#[inline(always)]`
-// body for wider ISAs, selected once per walk via
-// `is_x86_feature_detected!` (the baseline build targets SSE2, so
-// without the runtime dispatch the 8-wide lanes would lower to 2-wide
-// vectors). Every tier executes identical IEEE-754 operations —
-// vectorised min/max/sqrt are exact — so the dispatch, too, is a pure
-// throughput setting.
+// `#[target_feature]` functions recompile the same walk for wider ISAs,
+// picked once per batch by `LaneTier::fastest` (the baseline build
+// targets SSE2). Every tier executes identical IEEE-754 operations —
+// vectorised min/max/sqrt are exact, and no FMA contraction is
+// introduced — so the tier is a pure throughput setting.
+
+/// Genomes per walk group: the widest group the batch walk uses.
+/// Groups of 8, then at most one each of 4, 2 and 1, share each
+/// cluster's coordinate loads and hint, and give the raster-order sum
+/// `N` independent add chains to overlap.
+const GROUP: usize = 8;
+
+/// An instruction-set tier of the Eq. 3 cluster walk. Every tier
+/// returns the same bits; they differ only in speed.
+/// [`SilhouetteFitness::evaluate_batch`] runs
+/// [`LaneTier::fastest`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneTier {
+    /// Portable Rust, one cluster's lanes per loop.
+    Scalar,
+    /// x86-64 AVX2: each cluster as four 4-lane quarters.
+    Avx2,
+    /// x86-64 AVX-512F: each cluster as two 8-lane halves.
+    Avx512,
+}
+
+impl LaneTier {
+    /// Whether this host can run the tier.
+    pub fn is_supported(self) -> bool {
+        match self {
+            LaneTier::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            LaneTier::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            LaneTier::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+
+    /// The tiers this host can run, fastest first; always ends with
+    /// [`LaneTier::Scalar`].
+    pub fn supported() -> impl Iterator<Item = LaneTier> {
+        [LaneTier::Avx512, LaneTier::Avx2, LaneTier::Scalar]
+            .into_iter()
+            .filter(|tier| tier.is_supported())
+    }
+
+    /// The fastest tier this host can run.
+    pub fn fastest() -> LaneTier {
+        Self::supported().next().unwrap_or(LaneTier::Scalar)
+    }
+
+    /// Raw Eq. 3 sums (before `/ N`) of every genome in `sticks`, into
+    /// `totals`, in groups of [`GROUP`], then at most one group each of
+    /// 4, 2 and 1. `roots` holds at least `GROUP * frame.walk_len()`
+    /// values and `hints` one per cluster.
+    ///
+    /// # Safety
+    ///
+    /// The host must support the tier ([`LaneTier::is_supported`]).
+    unsafe fn walk(
+        self,
+        frame: &PreparedFrame,
+        sticks: &[[PreparedStick; 8]],
+        hints: &mut [u32],
+        roots: &mut [f64],
+        totals: &mut [f64],
+    ) {
+        let groups: [GroupWalk; 4] = match self {
+            LaneTier::Scalar => [
+                group_scalar::<GROUP>,
+                group_scalar::<4>,
+                group_scalar::<2>,
+                group_scalar::<1>,
+            ],
+            #[cfg(target_arch = "x86_64")]
+            LaneTier::Avx2 => [
+                x86::group_avx2::<GROUP>,
+                x86::group_avx2::<4>,
+                x86::group_avx2::<2>,
+                x86::group_avx2::<1>,
+            ],
+            #[cfg(target_arch = "x86_64")]
+            LaneTier::Avx512 => [
+                x86::group_avx512::<GROUP>,
+                x86::group_avx512::<4>,
+                x86::group_avx512::<2>,
+                x86::group_avx512::<1>,
+            ],
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("{self:?} exists only on x86-64"),
+        };
+        let mut done = 0;
+        for (width, group) in [GROUP, 4, 2, 1].into_iter().zip(groups) {
+            while sticks.len() - done >= width {
+                // SAFETY: the caller guarantees the tier's features.
+                unsafe {
+                    group(
+                        frame,
+                        &sticks[done..done + width],
+                        hints,
+                        roots,
+                        &mut totals[done..done + width],
+                    )
+                };
+                done += width;
+            }
+        }
+    }
+}
+
+/// One tier's walk of the whole frame for a group of genomes, writing
+/// their raw sums. `unsafe` because the SIMD tiers need their CPU
+/// features.
+type GroupWalk =
+    unsafe fn(&PreparedFrame, &[[PreparedStick; 8]], &mut [u32], &mut [f64], &mut [f64]);
 
 /// One lane of [`PreparedStick::scaled_distance_sq`]: identical f64
 /// operations in identical order, with the degenerate-stick test
@@ -570,158 +719,147 @@ fn lane_scaled_distance_sq(s: &PreparedStick, degenerate: bool, px: f64, py: f64
     (dx * dx + dy * dy) * s.inv_t_sq
 }
 
-/// Scores one chunk for one genome: exact min-over-sticks per lane with
-/// the branch-and-bound lifted to chunk granularity, square roots taken
-/// per lane, and the results accumulated into `total` in original pixel
-/// order. Returns the last live lane's winning stick — the next hint.
+/// Scaled squared distance between a stick's AABB and a cluster's box:
+/// a lower bound of the stick's distance to every point of the cluster.
 #[inline(always)]
-fn eq3_chunk(
-    xs: &[f64; LANES],
-    ys: &[f64; LANES],
-    bounds: ChunkBounds,
-    live: usize,
+fn box_lower_bound_sq(s: &PreparedStick, b: ClusterBounds) -> f64 {
+    let dx = (s.min_x - b.max_x).max(b.min_x - s.max_x).max(0.0);
+    let dy = (s.min_y - b.max_y).max(b.min_y - s.max_y).max(0.0);
+    (dx * dx + dy * dy) * s.inv_t_sq
+}
+
+/// Scores one cluster for one genome on the portable tier: the hint
+/// stick on every lane, one bound test of every other stick against
+/// the cluster's box, every survivor on every lane, and the square
+/// roots into `roots`. Returns the winning stick at the last lane, the
+/// cluster's next hint.
+#[inline(always)]
+fn eq3_cluster(
+    xs: &[f64; CLUSTER],
+    ys: &[f64; CLUSTER],
+    bounds: ClusterBounds,
     sticks: &[PreparedStick; 8],
     hint: u32,
-    total: &mut f64,
+    roots: &mut [f64; CLUSTER],
 ) -> u32 {
-    let mut best = [0.0f64; LANES];
-    let mut arg = [hint; LANES];
-    {
-        // The hint stick seeds every lane's current best exactly,
-        // mirroring the scalar warm start.
-        let s = &sticks[hint as usize];
-        let degenerate = s.len_sq <= f64::EPSILON;
-        for l in 0..LANES {
-            best[l] = lane_scaled_distance_sq(s, degenerate, xs[l], ys[l]);
-        }
+    let mut best = [0.0f64; CLUSTER];
+    let seed = &sticks[hint as usize];
+    let degenerate = seed.len_sq <= f64::EPSILON;
+    for l in 0..CLUSTER {
+        best[l] = lane_scaled_distance_sq(seed, degenerate, xs[l], ys[l]);
     }
-    // The worst lane's current best bounds the whole chunk: a stick
-    // whose box-to-box lower bound cannot beat it cannot win anywhere.
-    let mut chunk_ub = best[0];
+    // The worst lane's best bounds the whole cluster: a stick whose
+    // box-to-box lower bound cannot beat it cannot win anywhere.
+    let mut upper = best[0];
     for &b in &best[1..] {
-        if b > chunk_ub {
-            chunk_ub = b;
+        if b > upper {
+            upper = b;
         }
     }
+    let threshold = upper * PRUNE_SLACK;
+    let mut last = hint;
     for (i, s) in sticks.iter().enumerate() {
-        if i as u32 == hint {
-            continue;
-        }
-        let dx = (s.min_x - bounds.max_x)
-            .max(bounds.min_x - s.max_x)
-            .max(0.0);
-        let dy = (s.min_y - bounds.max_y)
-            .max(bounds.min_y - s.max_y)
-            .max(0.0);
-        if (dx * dx + dy * dy) * s.inv_t_sq >= chunk_ub * PRUNE_SLACK {
+        if i as u32 == hint || box_lower_bound_sq(s, bounds) >= threshold {
             continue;
         }
         let degenerate = s.len_sq <= f64::EPSILON;
-        for l in 0..LANES {
+        let before = best[CLUSTER - 1];
+        for l in 0..CLUSTER {
             let v = lane_scaled_distance_sq(s, degenerate, xs[l], ys[l]);
             if v < best[l] {
                 best[l] = v;
-                arg[l] = i as u32;
             }
         }
-        chunk_ub = best[0];
-        for &b in &best[1..] {
-            if b > chunk_ub {
-                chunk_ub = b;
-            }
+        if best[CLUSTER - 1] < before {
+            last = i as u32;
         }
     }
-    let mut roots = [0.0f64; LANES];
-    for l in 0..LANES {
+    for l in 0..CLUSTER {
         roots[l] = best[l].sqrt();
     }
-    // In-order accumulation over the live lanes only — dead tail lanes
-    // duplicate a real point and must not be counted.
-    for &r in &roots[..live] {
-        *total += r;
-    }
-    arg[live - 1]
+    last
 }
 
-/// Raw Eq. 3 sum (before `/ N`) for one genome over the whole frame,
-/// carrying the chunk hint forward like the scalar scanline warm start.
+/// Sums each of `N` genomes' roots in raster order: `totals[g]` is the
+/// sum of `roots[g * stride + slot]` over `slots`, added in the scalar
+/// scan's order. The `N` chains are independent, so the core overlaps
+/// them.
 #[inline(always)]
-fn lanes_eq3_sum_impl(frame: &PreparedFrame, sticks: &[PreparedStick; 8]) -> f64 {
-    let mut total = 0.0;
-    let mut hint = 0u32;
-    for c in 0..frame.num_chunks() {
-        let (xs, ys) = frame.chunk(c);
-        hint = eq3_chunk(
-            xs,
-            ys,
-            frame.chunk_bounds(c),
-            frame.chunk_live(c),
-            sticks,
-            hint,
-            &mut total,
-        );
-    }
-    total
-}
-
-/// Raw Eq. 3 sums for a whole batch, genome-outer with a persistent
-/// per-chunk hint table: `hints[c]` — the previous genome's winner at
-/// chunk `c` — warm-starts the next genome there (converged
-/// populations are full of near-identical genomes, so the carried hint
-/// is usually right). Genome-outer keeps the tiny frame SoA and the
-/// hint table hot in L1 and loads each genome's stick set exactly
-/// once; the walk order cannot affect the returned sums because the
-/// hint only picks which stick seeds the (exact, conservative)
-/// branch-and-bound — the per-lane minimum is the same whatever seeds
-/// it.
-#[allow(clippy::needless_range_loop)] // `c` indexes the frame's chunk tables and `hints` in lockstep
-#[inline(always)]
-fn lanes_eq3_batch_impl(
-    frame: &PreparedFrame,
-    sticks: &[[PreparedStick; 8]],
-    hints: &mut [u32],
+fn sum_in_raster_order<const N: usize>(
+    slots: &[u32],
+    roots: &[f64],
+    stride: usize,
     totals: &mut [f64],
 ) {
-    for (genome, total) in sticks.iter().zip(totals.iter_mut()) {
-        for c in 0..frame.num_chunks() {
-            let (xs, ys) = frame.chunk(c);
-            hints[c] = eq3_chunk(
-                xs,
-                ys,
-                frame.chunk_bounds(c),
-                frame.chunk_live(c),
-                genome,
-                hints[c],
-                total,
-            );
+    let bufs: [&[f64]; N] = std::array::from_fn(|g| &roots[g * stride..(g + 1) * stride]);
+    let mut acc = [0.0f64; N];
+    for &slot in slots {
+        let slot = slot as usize;
+        for g in 0..N {
+            acc[g] += bufs[g][slot];
         }
     }
+    totals.copy_from_slice(&acc);
+}
+
+/// Genome `g`'s roots for cluster `c`, in a group's roots buffers.
+#[inline(always)]
+fn cluster_roots(roots: &mut [f64], stride: usize, g: usize, c: usize) -> &mut [f64; CLUSTER] {
+    let at = g * stride + c * CLUSTER;
+    (&mut roots[at..at + CLUSTER])
+        .try_into()
+        .expect("cluster width")
+}
+
+/// The portable tier's walk for a group of `N` genomes: clusters outer,
+/// genomes inner, all `N` starting each cluster from its shared hint;
+/// the last genome's winner becomes the next hint.
+fn group_scalar<const N: usize>(
+    frame: &PreparedFrame,
+    group: &[[PreparedStick; 8]],
+    hints: &mut [u32],
+    roots: &mut [f64],
+    totals: &mut [f64],
+) {
+    let stride = frame.walk_len();
+    for (c, hint) in hints.iter_mut().enumerate() {
+        let (xs, ys) = frame.cluster(c);
+        let bounds = frame.cluster_bounds(c);
+        let mut next = *hint;
+        for (g, sticks) in group.iter().enumerate() {
+            next = eq3_cluster(
+                xs,
+                ys,
+                bounds,
+                sticks,
+                *hint,
+                cluster_roots(roots, stride, g, c),
+            );
+        }
+        *hint = next;
+    }
+    sum_in_raster_order::<N>(frame.slots(), roots, stride, totals);
 }
 
 /// Hand-vectorised x86-64 tiers. The autovectoriser reliably refuses
-/// the generic chunk kernel (the conditional best/arg update compiles
-/// to per-lane compare-and-branch), so the AVX-512 and AVX2 tiers spell
+/// the generic cluster kernel (the conditional best update compiles to
+/// per-lane compare-and-branch), so the AVX-512 and AVX2 tiers spell
 /// the same computation out in intrinsics: identical IEEE-754
 /// operations per lane — sub/mul/add/div/min/max/sqrt are all
 /// correctly rounded, the compare-and-blend reproduces the scalar
 /// strict-less update, and no FMA contraction is introduced — so every
-/// lane matches the scalar kernel bitwise (asserted by a unit test that
-/// calls every tier the host supports, and by the property tests, which
-/// run on whatever tier the host dispatches to).
-// The range loops index several chunk tables in lockstep, and the chunk
-// kernels take the full per-genome argument spread on purpose — hot-path
-// shape over style lints.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+/// lane matches the scalar kernel bitwise (asserted by tests that call
+/// every tier the host supports).
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
     use core::arch::x86_64::*;
 
     /// A genome's stick AABBs transposed stick-per-lane, built once per
-    /// frame walk: eight sticks fill one 8-wide register, so a chunk's
-    /// seven scalar (and branchy) box-to-box bound tests collapse into
-    /// a single vector evaluation.
-    struct StickBounds {
+    /// group walk: eight sticks fill one 8-wide register, so a
+    /// cluster's seven scalar (and branchy) box-to-box bound tests
+    /// collapse into a single vector evaluation.
+    pub(super) struct StickBounds {
         min_x: [f64; 8],
         max_x: [f64; 8],
         min_y: [f64; 8],
@@ -730,7 +868,7 @@ mod x86 {
     }
 
     impl StickBounds {
-        fn new(sticks: &[PreparedStick; 8]) -> Self {
+        pub(super) fn new(sticks: &[PreparedStick; 8]) -> Self {
             let mut b = StickBounds {
                 min_x: [0.0; 8],
                 max_x: [0.0; 8],
@@ -749,17 +887,18 @@ mod x86 {
         }
     }
 
-    /// All eight sticks' box-to-box lower bounds against one chunk in a
-    /// single 8-lane pass, returned as the bitmask of sticks whose bound
-    /// beats `threshold` — the same per-stick arithmetic and the same
-    /// `>= chunk_ub * PRUNE_SLACK → skip` predicate as the scalar prune
-    /// test, evaluated for all sticks at once. In the common case the
-    /// hint stick already prunes everything and the mask comes back
-    /// empty, so no survivor is scored. Bounds only steer the
-    /// conservative prune, so they cannot affect the returned sums.
+    /// All eight sticks' box-to-box lower bounds against one cluster in
+    /// a single 8-lane pass, returned as the bitmask of sticks whose
+    /// bound beats `threshold` — the same per-stick arithmetic and the
+    /// same `>= threshold → skip` predicate as [`box_lower_bound_sq`],
+    /// evaluated for all sticks at once.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn stick_survivors_avx512(sb: &StickBounds, bounds: ChunkBounds, threshold: f64) -> u32 {
+    unsafe fn stick_survivors_avx512(
+        sb: &StickBounds,
+        bounds: ClusterBounds,
+        threshold: f64,
+    ) -> u32 {
         let zero = _mm512_setzero_pd();
         let bdx = _mm512_max_pd(
             _mm512_max_pd(
@@ -801,7 +940,7 @@ mod x86 {
     /// survivor bits via `movmsk` on the compare result.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn stick_survivors_avx2(sb: &StickBounds, bounds: ChunkBounds, threshold: f64) -> u32 {
+    unsafe fn stick_survivors_avx2(sb: &StickBounds, bounds: ClusterBounds, threshold: f64) -> u32 {
         let mut mask = 0u32;
         for half in 0..2 {
             let o = half * 4;
@@ -895,321 +1034,174 @@ mod x86 {
         _mm256_mul_pd(dsq, _mm256_set1_pd(s.inv_t_sq))
     }
 
-    /// Lane maximum across an 8-wide pair of 4-wide registers.
-    #[target_feature(enable = "avx2")]
+    /// [`eq3_cluster`] on the AVX-512 tier: the 16 lanes as two 8-wide
+    /// halves, the strict-less update as mask + blend.
+    #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn hmax_avx2(a: __m256d, b: __m256d) -> f64 {
-        let m = _mm256_max_pd(a, b);
-        let lo = _mm256_castpd256_pd128(m);
-        let hi = _mm256_extractf128_pd::<1>(m);
-        let m2 = _mm_max_pd(lo, hi);
-        let s = _mm_max_sd(m2, _mm_unpackhi_pd(m2, m2));
-        _mm_cvtsd_f64(s)
-    }
-
-    /// [`eq3_chunk`] on the AVX2 tier: the 8 lanes as two 4-wide
-    /// halves, strict-less update as compare + blendv (the compare's
-    /// all-ones lanes drive the blend sign bit). Every survivor of the
-    /// one bound test is scored, as in [`eq3_chunk_avx512_xn`].
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn eq3_chunk_avx2(
-        xs: &[f64; LANES],
-        ys: &[f64; LANES],
-        bounds: ChunkBounds,
-        live: usize,
+    unsafe fn eq3_cluster_avx512(
+        px: [__m512d; 2],
+        py: [__m512d; 2],
+        bounds: ClusterBounds,
         sticks: &[PreparedStick; 8],
         sb: &StickBounds,
         hint: u32,
-        total: &mut f64,
+        roots: &mut [f64; CLUSTER],
     ) -> u32 {
-        let px0 = _mm256_loadu_pd(xs.as_ptr());
-        let px1 = _mm256_loadu_pd(xs.as_ptr().add(4));
-        let py0 = _mm256_loadu_pd(ys.as_ptr());
-        let py1 = _mm256_loadu_pd(ys.as_ptr().add(4));
-        let h = &sticks[hint as usize];
-        let mut best0 = dist_avx2(h, px0, py0);
-        let mut best1 = dist_avx2(h, px1, py1);
-        let mut arg0 = _mm256_set1_pd(hint as f64);
-        let mut arg1 = arg0;
-        let chunk_ub = hmax_avx2(best0, best1);
-        let mut pending =
-            stick_survivors_avx2(sb, bounds, chunk_ub * PRUNE_SLACK) & !(1u32 << hint);
+        let seed = &sticks[hint as usize];
+        let mut best = [
+            dist_avx512(seed, px[0], py[0]),
+            dist_avx512(seed, px[1], py[1]),
+        ];
+        // Distances are non-negative, so the lane maximum is
+        // order-independent and matches the portable reduction exactly.
+        let upper = _mm512_reduce_max_pd(_mm512_max_pd(best[0], best[1]));
+        let mut pending = stick_survivors_avx512(sb, bounds, upper * PRUNE_SLACK) & !(1u32 << hint);
+        let mut last = hint;
         while pending != 0 {
-            let i = pending.trailing_zeros() as usize;
+            let i = pending.trailing_zeros();
             pending &= pending - 1;
-            let s = &sticks[i];
-            let v0 = dist_avx2(s, px0, py0);
-            let v1 = dist_avx2(s, px1, py1);
-            let idx = _mm256_set1_pd(i as f64);
-            let lt0 = _mm256_cmp_pd::<_CMP_LT_OQ>(v0, best0);
-            let lt1 = _mm256_cmp_pd::<_CMP_LT_OQ>(v1, best1);
-            best0 = _mm256_blendv_pd(best0, v0, lt0);
-            best1 = _mm256_blendv_pd(best1, v1, lt1);
-            arg0 = _mm256_blendv_pd(arg0, idx, lt0);
-            arg1 = _mm256_blendv_pd(arg1, idx, lt1);
-        }
-        let mut roots = [0.0f64; LANES];
-        _mm256_storeu_pd(roots.as_mut_ptr(), _mm256_sqrt_pd(best0));
-        _mm256_storeu_pd(roots.as_mut_ptr().add(4), _mm256_sqrt_pd(best1));
-        for &r in &roots[..live] {
-            *total += r;
-        }
-        let mut args = [0.0f64; LANES];
-        _mm256_storeu_pd(args.as_mut_ptr(), arg0);
-        _mm256_storeu_pd(args.as_mut_ptr().add(4), arg1);
-        args[live - 1] as u32
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn eq3_sum_avx512(frame: &PreparedFrame, sticks: &[PreparedStick; 8]) -> f64 {
-        let sb = [StickBounds::new(sticks)];
-        let mut total = [0.0];
-        let mut hint = 0u32;
-        for c in 0..frame.num_chunks() {
-            let (xs, ys) = frame.chunk(c);
-            hint = eq3_chunk_avx512_xn::<1>(
-                xs,
-                ys,
-                frame.chunk_bounds(c),
-                frame.chunk_live(c),
-                std::slice::from_ref(sticks),
-                &sb,
-                &mut total,
-                hint,
-            );
-        }
-        total[0]
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn eq3_sum_avx2(frame: &PreparedFrame, sticks: &[PreparedStick; 8]) -> f64 {
-        let sb = StickBounds::new(sticks);
-        let mut total = 0.0;
-        let mut hint = 0u32;
-        for c in 0..frame.num_chunks() {
-            let (xs, ys) = frame.chunk(c);
-            hint = eq3_chunk_avx2(
-                xs,
-                ys,
-                frame.chunk_bounds(c),
-                frame.chunk_live(c),
-                sticks,
-                &sb,
-                hint,
-                &mut total,
-            );
-        }
-        total
-    }
-
-    /// [`eq3_chunk`] on the AVX-512 tier for `N` genomes at once: best
-    /// and arg kept in registers, the strict-less update as mask +
-    /// blend. Returns the last genome's winning stick at the last live
-    /// lane, the chunk's next hint.
-    ///
-    /// Each genome gets one bound test, against the upper bound its
-    /// hint stick sets, and every stick that survives it is scored.
-    /// Nothing re-tests a survivor against the bound as it tightens, and
-    /// that is exact: a survivor the tightened bound would skip has a
-    /// lower bound, times `PRUNE_SLACK`, at or above every lane's
-    /// current best, so its exact distance is strictly smaller in no
-    /// lane and the blend leaves best and arg as they were. Scoring
-    /// those few extra sticks costs less than the re-test's serial
-    /// chain of one lane reduction per survivor.
-    ///
-    /// The `N` genomes share only the chunk's coordinate loads and the
-    /// incoming hint, neither of which can affect a sum. Bit-exactness
-    /// demands each sum be accumulated in pixel order, a serial `f64`
-    /// add chain (~4 cycles per point), so one genome's walk is
-    /// latency-bound on its own running total; `N` genomes give the
-    /// out-of-order core `N` independent chains to overlap (two add
-    /// ports at 4-cycle latency saturate around 4–8 chains).
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn eq3_chunk_avx512_xn<const N: usize>(
-        xs: &[f64; LANES],
-        ys: &[f64; LANES],
-        bounds: ChunkBounds,
-        live: usize,
-        sticks: &[[PreparedStick; 8]],
-        sbs: &[StickBounds; N],
-        totals: &mut [f64],
-        hint: u32,
-    ) -> u32 {
-        let px = _mm512_loadu_pd(xs.as_ptr());
-        let py = _mm512_loadu_pd(ys.as_ptr());
-        let mut best = [_mm512_setzero_pd(); N];
-        let mut survivors = [0u32; N];
-        for g in 0..N {
-            best[g] = dist_avx512(&sticks[g][hint as usize], px, py);
-            // Distances are non-negative, so the lane maximum is
-            // order-independent and matches the generic reduction
-            // exactly.
-            let chunk_ub = _mm512_reduce_max_pd(best[g]);
-            survivors[g] =
-                stick_survivors_avx512(&sbs[g], bounds, chunk_ub * PRUNE_SLACK) & !(1u32 << hint);
-        }
-        let mut arg_last = _mm512_set1_pd(hint as f64);
-        for g in 0..N {
-            let mut pending = survivors[g];
-            while pending != 0 {
-                let i = pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let v = dist_avx512(&sticks[g][i], px, py);
-                let smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(v, best[g]);
-                best[g] = _mm512_mask_blend_pd(smaller, best[g], v);
-                if g == N - 1 {
-                    // Stick indices 0..7 are exact in f64, so blending
-                    // the arg lanes as doubles loses nothing.
-                    arg_last = _mm512_mask_blend_pd(smaller, arg_last, _mm512_set1_pd(i as f64));
-                }
+            let s = &sticks[i as usize];
+            let lo = dist_avx512(s, px[0], py[0]);
+            let hi = dist_avx512(s, px[1], py[1]);
+            let lo_smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(lo, best[0]);
+            let hi_smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(hi, best[1]);
+            best[0] = _mm512_mask_blend_pd(lo_smaller, best[0], lo);
+            best[1] = _mm512_mask_blend_pd(hi_smaller, best[1], hi);
+            if hi_smaller & 0x80 != 0 {
+                last = i;
             }
         }
-        let mut roots = [[0.0f64; LANES]; N];
-        for g in 0..N {
-            _mm512_storeu_pd(roots[g].as_mut_ptr(), _mm512_sqrt_pd(best[g]));
-        }
-        // N independent in-order chains; the hardware interleaves them,
-        // each one identical to the scalar scan's order. Dead tail
-        // lanes duplicate a real point and are not counted.
-        for l in 0..live {
-            for g in 0..N {
-                totals[g] += roots[g][l];
-            }
-        }
-        let mut args = [0.0f64; LANES];
-        _mm512_storeu_pd(args.as_mut_ptr(), arg_last);
-        args[live - 1] as u32
+        _mm512_storeu_pd(roots.as_mut_ptr(), _mm512_sqrt_pd(best[0]));
+        _mm512_storeu_pd(roots.as_mut_ptr().add(8), _mm512_sqrt_pd(best[1]));
+        last
     }
 
-    /// One walk over the frame for a group of `N` genomes, reading and
-    /// updating the per-chunk hints.
+    /// [`group_scalar`] on the AVX-512 tier: each cluster's coordinates
+    /// are loaded once for the whole group.
     #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn eq3_group_avx512<const N: usize>(
+    pub(super) unsafe fn group_avx512<const N: usize>(
         frame: &PreparedFrame,
         group: &[[PreparedStick; 8]],
         hints: &mut [u32],
+        roots: &mut [f64],
         totals: &mut [f64],
     ) {
-        let sbs = std::array::from_fn::<_, N, _>(|g| StickBounds::new(&group[g]));
-        for c in 0..frame.num_chunks() {
-            let (xs, ys) = frame.chunk(c);
-            hints[c] = eq3_chunk_avx512_xn::<N>(
-                xs,
-                ys,
-                frame.chunk_bounds(c),
-                frame.chunk_live(c),
-                group,
-                &sbs,
-                totals,
-                hints[c],
-            );
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn eq3_batch_avx512(
-        frame: &PreparedFrame,
-        sticks: &[[PreparedStick; 8]],
-        hints: &mut [u32],
-        totals: &mut [f64],
-    ) {
-        let mut done = 0usize;
-        while sticks.len() - done >= 8 {
-            eq3_group_avx512::<8>(
-                frame,
-                &sticks[done..done + 8],
-                hints,
-                &mut totals[done..done + 8],
-            );
-            done += 8;
-        }
-        // The rest, widest group first: at most one group each of 4, 2
-        // and 1.
-        if sticks.len() - done >= 4 {
-            eq3_group_avx512::<4>(
-                frame,
-                &sticks[done..done + 4],
-                hints,
-                &mut totals[done..done + 4],
-            );
-            done += 4;
-        }
-        if sticks.len() - done >= 2 {
-            eq3_group_avx512::<2>(
-                frame,
-                &sticks[done..done + 2],
-                hints,
-                &mut totals[done..done + 2],
-            );
-            done += 2;
-        }
-        if done < sticks.len() {
-            eq3_group_avx512::<1>(frame, &sticks[done..], hints, &mut totals[done..]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn eq3_batch_avx2(
-        frame: &PreparedFrame,
-        sticks: &[[PreparedStick; 8]],
-        hints: &mut [u32],
-        totals: &mut [f64],
-    ) {
-        for (genome, total) in sticks.iter().zip(totals.iter_mut()) {
-            let sb = StickBounds::new(genome);
-            for c in 0..frame.num_chunks() {
-                let (xs, ys) = frame.chunk(c);
-                hints[c] = eq3_chunk_avx2(
-                    xs,
-                    ys,
-                    frame.chunk_bounds(c),
-                    frame.chunk_live(c),
-                    genome,
-                    &sb,
-                    hints[c],
-                    total,
+        let sbs: [StickBounds; N] = std::array::from_fn(|g| StickBounds::new(&group[g]));
+        let stride = frame.walk_len();
+        for (c, hint) in hints.iter_mut().enumerate() {
+            let (xs, ys) = frame.cluster(c);
+            let px = [
+                _mm512_loadu_pd(xs.as_ptr()),
+                _mm512_loadu_pd(xs.as_ptr().add(8)),
+            ];
+            let py = [
+                _mm512_loadu_pd(ys.as_ptr()),
+                _mm512_loadu_pd(ys.as_ptr().add(8)),
+            ];
+            let bounds = frame.cluster_bounds(c);
+            let mut next = *hint;
+            for (g, (sticks, sb)) in group.iter().zip(&sbs).enumerate() {
+                next = eq3_cluster_avx512(
+                    px,
+                    py,
+                    bounds,
+                    sticks,
+                    sb,
+                    *hint,
+                    cluster_roots(roots, stride, g, c),
                 );
             }
+            *hint = next;
         }
+        sum_in_raster_order::<N>(frame.slots(), roots, stride, totals);
     }
-}
 
-fn lanes_eq3_sum(frame: &PreparedFrame, sticks: &[PreparedStick; 8]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            // SAFETY: the feature was detected at runtime.
-            return unsafe { x86::eq3_sum_avx512(frame, sticks) };
+    /// [`eq3_cluster`] on the AVX2 tier: the 16 lanes as four 4-wide
+    /// quarters, the strict-less update as compare + blendv (the
+    /// compare's all-ones lanes drive the blend sign bit).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn eq3_cluster_avx2(
+        px: [__m256d; 4],
+        py: [__m256d; 4],
+        bounds: ClusterBounds,
+        sticks: &[PreparedStick; 8],
+        sb: &StickBounds,
+        hint: u32,
+        roots: &mut [f64; CLUSTER],
+    ) -> u32 {
+        let seed = &sticks[hint as usize];
+        let mut best = [
+            dist_avx2(seed, px[0], py[0]),
+            dist_avx2(seed, px[1], py[1]),
+            dist_avx2(seed, px[2], py[2]),
+            dist_avx2(seed, px[3], py[3]),
+        ];
+        let m = _mm256_max_pd(
+            _mm256_max_pd(best[0], best[1]),
+            _mm256_max_pd(best[2], best[3]),
+        );
+        let m2 = _mm_max_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd::<1>(m));
+        let upper = _mm_cvtsd_f64(_mm_max_sd(m2, _mm_unpackhi_pd(m2, m2)));
+        let mut pending = stick_survivors_avx2(sb, bounds, upper * PRUNE_SLACK) & !(1u32 << hint);
+        let mut last = hint;
+        while pending != 0 {
+            let i = pending.trailing_zeros();
+            pending &= pending - 1;
+            let s = &sticks[i as usize];
+            let mut last_smaller = 0;
+            for q in 0..4 {
+                let v = dist_avx2(s, px[q], py[q]);
+                let smaller = _mm256_cmp_pd::<_CMP_LT_OQ>(v, best[q]);
+                best[q] = _mm256_blendv_pd(best[q], v, smaller);
+                last_smaller = _mm256_movemask_pd(smaller);
+            }
+            if last_smaller & 0b1000 != 0 {
+                last = i;
+            }
         }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the feature was detected at runtime.
-            return unsafe { x86::eq3_sum_avx2(frame, sticks) };
+        for (q, b) in best.into_iter().enumerate() {
+            _mm256_storeu_pd(roots.as_mut_ptr().add(4 * q), _mm256_sqrt_pd(b));
         }
+        last
     }
-    lanes_eq3_sum_impl(frame, sticks)
-}
 
-fn lanes_eq3_batch(
-    frame: &PreparedFrame,
-    sticks: &[[PreparedStick; 8]],
-    hints: &mut [u32],
-    totals: &mut [f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if is_x86_feature_detected!("avx512f") {
-            // SAFETY: the feature was detected at runtime.
-            return unsafe { x86::eq3_batch_avx512(frame, sticks, hints, totals) };
+    /// [`group_scalar`] on the AVX2 tier.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn group_avx2<const N: usize>(
+        frame: &PreparedFrame,
+        group: &[[PreparedStick; 8]],
+        hints: &mut [u32],
+        roots: &mut [f64],
+        totals: &mut [f64],
+    ) {
+        let sbs: [StickBounds; N] = std::array::from_fn(|g| StickBounds::new(&group[g]));
+        let stride = frame.walk_len();
+        for (c, hint) in hints.iter_mut().enumerate() {
+            let (xs, ys) = frame.cluster(c);
+            let mut px = [_mm256_setzero_pd(); 4];
+            let mut py = [_mm256_setzero_pd(); 4];
+            for q in 0..4 {
+                px[q] = _mm256_loadu_pd(xs.as_ptr().add(4 * q));
+                py[q] = _mm256_loadu_pd(ys.as_ptr().add(4 * q));
+            }
+            let bounds = frame.cluster_bounds(c);
+            let mut next = *hint;
+            for (g, (sticks, sb)) in group.iter().zip(&sbs).enumerate() {
+                next = eq3_cluster_avx2(
+                    px,
+                    py,
+                    bounds,
+                    sticks,
+                    sb,
+                    *hint,
+                    cluster_roots(roots, stride, g, c),
+                );
+            }
+            *hint = next;
         }
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: the feature was detected at runtime.
-            return unsafe { x86::eq3_batch_avx2(frame, sticks, hints, totals) };
-        }
+        sum_in_raster_order::<N>(frame.slots(), roots, stride, totals);
     }
-    lanes_eq3_batch_impl(frame, sticks, hints, totals)
 }
 
 #[cfg(test)]
@@ -1437,14 +1429,22 @@ mod tests {
         for stride in [1usize, 3, 5] {
             let fit = SilhouetteFitness::new(&sil, &dims, &camera, stride).unwrap();
             for (k, p) in displaced_candidates(pose).iter().enumerate() {
-                let lanes = fit.evaluate_lanes(p, &dims);
+                // A batch of one, on a fresh scratch: the walk a single
+                // `PoseProblem::fitness` call takes.
+                let mut lanes = [0.0];
+                fit.evaluate_batch(
+                    std::slice::from_ref(p),
+                    &dims,
+                    &mut lanes,
+                    &mut BatchScratch::default(),
+                );
                 assert_eq!(
-                    lanes.to_bits(),
+                    lanes[0].to_bits(),
                     fit.evaluate(p, &dims).to_bits(),
                     "stride {stride} candidate {k}: lanes vs pruned scalar"
                 );
                 assert_eq!(
-                    lanes.to_bits(),
+                    lanes[0].to_bits(),
                     fit.evaluate_unpruned(p, &dims).to_bits(),
                     "stride {stride} candidate {k}: lanes vs unpruned scalar"
                 );
@@ -1473,39 +1473,13 @@ mod tests {
 
     /// Every Eq. 3 lane tier, called directly instead of through the
     /// runtime dispatch, so the tiers this host would never pick run
-    /// too: the chunked scalar tier always, AVX-512F and AVX2 when the
-    /// CPU has them. Each must match the unpruned scalar scan bit for
-    /// bit, single-genome and batched. The outside penalty is off, so
+    /// too: the portable tier always, AVX-512F and AVX2 when the CPU
+    /// has them. Each must match the unpruned scalar scan bit for bit,
+    /// single-genome and batched. The outside penalty is off, so
     /// `evaluate_unpruned` is exactly the Eq. 3 sum over N the tiers
     /// compute.
     #[test]
     fn every_lane_tier_is_bit_identical_to_unpruned() {
-        type Sum = fn(&PreparedFrame, &[PreparedStick; 8]) -> f64;
-        type Batch = fn(&PreparedFrame, &[[PreparedStick; 8]], &mut [u32], &mut [f64]);
-        #[allow(unused_mut)] // no SIMD tiers off x86-64
-        let mut tiers: Vec<(&str, Sum, Batch)> =
-            vec![("chunked scalar", lanes_eq3_sum_impl, lanes_eq3_batch_impl)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") {
-                // SAFETY (both closures): the feature was detected at
-                // runtime.
-                tiers.push((
-                    "avx512f",
-                    |f, s| unsafe { x86::eq3_sum_avx512(f, s) },
-                    |f, s, h, t| unsafe { x86::eq3_batch_avx512(f, s, h, t) },
-                ));
-            }
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY (both closures): the feature was detected at
-                // runtime.
-                tiers.push((
-                    "avx2",
-                    |f, s| unsafe { x86::eq3_sum_avx2(f, s) },
-                    |f, s, h, t| unsafe { x86::eq3_batch_avx2(f, s, h, t) },
-                ));
-            }
-        }
         let (dims, camera, pose) = setup();
         let sil = render_silhouette(&pose, &dims, &camera);
         let eq3_only =
@@ -1515,15 +1489,21 @@ mod tests {
         // short frames.
         for stride in [1usize, 3, 5] {
             let fit = eq3_only(stride).unwrap();
-            let n = fit.frame.len() as f64;
             for (k, p) in displaced_candidates(pose).iter().enumerate() {
                 let reference = fit.evaluate_unpruned(p, &dims).to_bits();
-                let sticks = fit.project(p, &dims);
-                for &(tier, sum, _) in &tiers {
+                for tier in LaneTier::supported() {
+                    let mut got = [0.0];
+                    fit.evaluate_batch_on(
+                        tier,
+                        std::slice::from_ref(p),
+                        &dims,
+                        &mut got,
+                        &mut BatchScratch::default(),
+                    );
                     assert_eq!(
-                        (sum(&fit.frame, &sticks) / n).to_bits(),
+                        got[0].to_bits(),
                         reference,
-                        "{tier}: stride {stride} candidate {k}"
+                        "{tier:?}: stride {stride} candidate {k}"
                     );
                 }
             }
@@ -1532,49 +1512,43 @@ mod tests {
         // Batches, at every prefix length so each genome grouping (8,
         // 4, 2 and 1 wide) runs.
         let fit = eq3_only(2).unwrap();
-        let n = fit.frame.len() as f64;
         let poses = batch_with_duplicate(pose);
-        let sticks: Vec<[PreparedStick; 8]> = poses.iter().map(|p| fit.project(p, &dims)).collect();
         let reference: Vec<u64> = poses
             .iter()
             .map(|p| fit.evaluate_unpruned(p, &dims).to_bits())
             .collect();
-        for &(tier, _, batch) in &tiers {
-            let mut hints = vec![0u32; fit.frame.num_chunks()];
-            for len in 1..=sticks.len() {
-                // Hints carry over from the previous prefix on purpose:
-                // they steer work, never values.
-                let mut totals = vec![0.0f64; len];
-                batch(&fit.frame, &sticks[..len], &mut hints, &mut totals);
-                let got: Vec<u64> = totals.iter().map(|t| (t / n).to_bits()).collect();
-                assert_eq!(got, reference[..len], "{tier}: batch of {len}");
+        for tier in LaneTier::supported() {
+            // Hints carry over from the previous prefix on purpose:
+            // they steer work, never values.
+            let mut scratch = BatchScratch::default();
+            for len in 1..=poses.len() {
+                let mut out = vec![0.0f64; len];
+                fit.evaluate_batch_on(tier, &poses[..len], &dims, &mut out, &mut scratch);
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, reference[..len], "{tier:?}: batch of {len}");
             }
         }
     }
 
-    /// Sticks that survive a chunk's first bound test: the scalar form
-    /// of the SIMD tiers' survivor mask, seeded by the hint stick.
+    /// Sticks that survive a cluster's bound test: the portable form of
+    /// the SIMD tiers' survivor mask, seeded by the hint stick.
     fn first_test_survivors(
         frame: &PreparedFrame,
         c: usize,
         sticks: &[PreparedStick; 8],
         hint: usize,
     ) -> usize {
-        let (xs, ys) = frame.chunk(c);
+        let (xs, ys) = frame.cluster(c);
         let seed = &sticks[hint];
         let degenerate = seed.len_sq <= f64::EPSILON;
-        let chunk_ub = (0..LANES)
+        let upper = (0..CLUSTER)
             .map(|l| lane_scaled_distance_sq(seed, degenerate, xs[l], ys[l]))
             .fold(0.0, f64::max);
-        let b = frame.chunk_bounds(c);
+        let b = frame.cluster_bounds(c);
         sticks
             .iter()
             .enumerate()
-            .filter(|&(i, s)| {
-                let dx = (s.min_x - b.max_x).max(b.min_x - s.max_x).max(0.0);
-                let dy = (s.min_y - b.max_y).max(b.min_y - s.max_y).max(0.0);
-                i != hint && (dx * dx + dy * dy) * s.inv_t_sq < chunk_ub * PRUNE_SLACK
-            })
+            .filter(|&(i, s)| i != hint && box_lower_bound_sq(s, b) < upper * PRUNE_SLACK)
             .count()
     }
 
@@ -1614,14 +1588,13 @@ mod tests {
 
     /// Lane exactness where the first bound test is loose. A served
     /// job's segmentation (default scene, the causal 8-frame warm-up
-    /// background) leaves dozens of debris specks late in the clip, and
-    /// an 8-point chunk that strings specks and body pixels along one
-    /// scanline has a box no stick's bound can clear: there the hint
-    /// stick prunes almost nothing and the SIMD tiers score nearly
-    /// every stick. Batches of every length from 1 to 17 are drawn from
-    /// the genomes a served-preset GA run scores on such a frame, and
-    /// every tier the host supports must return `evaluate_unpruned`'s
-    /// bits for each genome.
+    /// background) leaves dozens of debris specks late in the clip. A
+    /// cluster that spans specks, or specks and body pixels, has a box
+    /// no stick's bound can clear: there the hint stick prunes almost
+    /// nothing and the tiers score nearly every stick. Batches of every
+    /// length from 1 to 17 are drawn from the genomes a served-preset
+    /// GA run scores on such a frame, and every tier the host supports
+    /// must return `evaluate_unpruned`'s bits for each genome.
     #[test]
     fn every_lane_tier_is_exact_where_the_first_bound_is_loose() {
         use crate::engine::evolve;
@@ -1631,25 +1604,6 @@ mod tests {
         use slj_segment::background::UpdateMode;
         use slj_segment::{PipelineConfig, SegmentPipeline};
         use slj_video::{SceneConfig, SyntheticJump};
-
-        type Batch = fn(&PreparedFrame, &[[PreparedStick; 8]], &mut [u32], &mut [f64]);
-        #[allow(unused_mut)] // no SIMD tiers off x86-64
-        let mut tiers: Vec<(&str, Batch)> = vec![("chunked scalar", lanes_eq3_batch_impl)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") {
-                // SAFETY: the feature was detected at runtime.
-                tiers.push(("avx512f", |f, s, h, t| unsafe {
-                    x86::eq3_batch_avx512(f, s, h, t)
-                }));
-            }
-            if is_x86_feature_detected!("avx2") {
-                // SAFETY: the feature was detected at runtime.
-                tiers.push(("avx2", |f, s, h, t| unsafe {
-                    x86::eq3_batch_avx2(f, s, h, t)
-                }));
-            }
-        }
 
         let jump = SyntheticJump::generate(
             &SceneConfig::default(),
@@ -1695,37 +1649,39 @@ mod tests {
         let fit =
             SilhouetteFitness::with_outside_weight(sil, dims, camera, served.problem.stride, 0.0)
                 .unwrap();
-        let n = fit.frame.len() as f64;
         let sticks: Vec<[PreparedStick; 8]> =
             genomes.iter().map(|p| fit.project(p, dims)).collect();
 
-        // The frame is as loose as described: for over a tenth of the
-        // (genome, chunk) pairs (about a fifth at the time of writing)
-        // the first test keeps at least six of the seven sticks besides
-        // the hint.
-        let pairs = sticks.len() * fit.frame.num_chunks();
+        // The frame is as loose as described: thousands of (genome,
+        // cluster) pairs keep at least six of the seven sticks besides
+        // the hint after the first test (2494 of 66600 at the time of
+        // writing; 8-point raster runs kept about a fifth of theirs).
+        let pairs = sticks.len() * fit.frame.num_clusters();
         let loose = sticks
             .iter()
-            .flat_map(|g| (0..fit.frame.num_chunks()).map(move |c| (g, c)))
+            .flat_map(|g| (0..fit.frame.num_clusters()).map(move |c| (g, c)))
             .filter(|&(g, c)| first_test_survivors(&fit.frame, c, g, 0) >= 6)
             .count();
-        assert!(loose * 10 >= pairs, "{loose} of {pairs} pairs loose");
+        assert!(loose >= 2000, "{loose} of {pairs} pairs loose");
 
-        for len in 1..=17 {
-            for draw in 0..4 {
-                let start = (draw * 131 + len * 17) % (sticks.len() - len);
-                let batch = &sticks[start..start + len];
-                let reference: Vec<u64> = genomes[start..start + len]
-                    .iter()
-                    .map(|p| fit.evaluate_unpruned(p, dims).to_bits())
-                    .collect();
-                for &(tier, walk) in &tiers {
-                    let mut hints = vec![0u32; fit.frame.num_chunks()];
-                    let mut totals = vec![0.0f64; len];
-                    walk(&fit.frame, batch, &mut hints, &mut totals);
-                    let got: Vec<u64> = totals.iter().map(|t| (t / n).to_bits()).collect();
-                    assert_eq!(got, reference, "{tier}: batch of {len} at {start}");
-                }
+        // Every recorded genome, in consecutive batches of lengths 1,
+        // 2, …, 17, 1, 2, …, so each loose pair is walked and every
+        // group width runs.
+        let reference: Vec<u64> = genomes
+            .iter()
+            .map(|p| fit.evaluate_unpruned(p, dims).to_bits())
+            .collect();
+        for tier in LaneTier::supported() {
+            let mut scratch = BatchScratch::default();
+            let (mut start, mut len) = (0, 1);
+            while start < genomes.len() {
+                let end = (start + len).min(genomes.len());
+                let mut out = vec![0.0f64; end - start];
+                fit.evaluate_batch_on(tier, &genomes[start..end], dims, &mut out, &mut scratch);
+                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, reference[start..end], "{tier:?}: batch at {start}");
+                start = end;
+                len = len % 17 + 1;
             }
         }
     }

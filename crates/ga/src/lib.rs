@@ -47,7 +47,7 @@ pub mod tracker;
 
 pub use engine::{evolve, GaConfig, GaRun, Problem};
 pub use error::GaError;
-pub use fitness::{BatchScratch, PruneStats, SilhouetteFitness};
+pub use fitness::{BatchScratch, LaneTier, PruneStats, SilhouetteFitness};
 pub use particle::{ParticleFilter, ParticleFilterConfig, ParticleRun};
 pub use pose_problem::{InitStrategy, PoseProblem, PoseProblemConfig, ProblemScratch};
 pub use tracker::{

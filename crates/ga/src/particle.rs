@@ -12,7 +12,7 @@
 //! reuses the tracker's per-stick Δρ ranges scaled by a factor.
 
 use crate::error::GaError;
-use crate::fitness::SilhouetteFitness;
+use crate::fitness::{BatchScratch, SilhouetteFitness};
 use crate::pose_problem::DEFAULT_DELTA_ANGLES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,6 +154,8 @@ impl ParticleFilter {
         // The particle cloud starts as copies of the first pose.
         let mut cloud: Vec<Pose> = vec![first_pose; self.config.particles];
         let mut best_prev = first_pose;
+        let mut costs = vec![0.0; cloud.len()];
+        let mut scratch = BatchScratch::default();
 
         for (k, sil) in silhouettes.iter().enumerate().skip(1) {
             let fitness = match SilhouetteFitness::new(sil, dims, camera, self.config.stride) {
@@ -178,7 +180,7 @@ impl ParticleFilter {
             }
 
             // Weight: likelihood from the Eq. 3 cost.
-            let costs: Vec<f64> = cloud.iter().map(|p| fitness.evaluate(p, dims)).collect();
+            fitness.evaluate_batch(&cloud, dims, &mut costs, &mut scratch);
             let min_cost = costs.iter().copied().fold(f64::INFINITY, f64::min);
             let weights: Vec<f64> = costs
                 .iter()

@@ -191,7 +191,7 @@ struct EvalScratch {
     poses: Vec<Pose>,
     /// One fitness value per entry of `poses`.
     values: Vec<f64>,
-    /// Stick-set and prune-hint storage for the lane kernel.
+    /// Stick-set, prune-hint and roots storage for the cluster walk.
     fit: BatchScratch,
 }
 
@@ -225,10 +225,19 @@ struct ValidityRule {
     /// Outside samples a genome can have and still be valid:
     /// `total - needed`.
     spare: usize,
+    /// Whether `is_valid` counts the samples in vector registers: the
+    /// host has AVX-512F and AVX-512VL, and every pixel index of the
+    /// distance field fits an `i32` gather offset.
+    vector_count: bool,
 }
 
 impl ValidityRule {
-    fn new(config: &PoseProblemConfig, dims: &BodyDims, camera: &Camera) -> Result<Self, GaError> {
+    fn new(
+        config: &PoseProblemConfig,
+        dims: &BodyDims,
+        camera: &Camera,
+        field: &DistanceField,
+    ) -> Result<Self, GaError> {
         let total = STICK_COUNT
             .checked_mul(config.validity_samples)
             .ok_or(GaError::BadConfig {
@@ -244,11 +253,21 @@ impl ValidityRule {
         for s in slj_motion::model::ALL_STICKS {
             raw_limits[s.index()] = DistanceField::raw_limit(stick_tolerance_px(dims, camera, s));
         }
+        #[cfg(target_arch = "x86_64")]
+        let vector_count = is_x86_feature_detected!("avx512f")
+            && is_x86_feature_detected!("avx512vl")
+            && field.width().saturating_mul(field.height()) <= i32::MAX as usize;
+        #[cfg(not(target_arch = "x86_64"))]
+        let vector_count = {
+            let _ = field;
+            false
+        };
         Ok(ValidityRule {
             fractions: Segment::sample_fractions(config.validity_samples).collect(),
             raw_limits,
             needed,
             spare: total - needed,
+            vector_count,
         })
     }
 }
@@ -375,7 +394,7 @@ impl PoseProblem {
         let bb = moments::bounding_box(silhouette).ok_or(GaError::EmptySilhouette)?;
         let tl = camera.image_to_world(Point2::new(bb.x_min as f64, bb.y_max as f64));
         let br = camera.image_to_world(Point2::new(bb.x_max as f64, bb.y_min as f64));
-        let validity = ValidityRule::new(&config, dims, camera)?;
+        let validity = ValidityRule::new(&config, dims, camera, fitness.distance_field())?;
         scratch.memo.clear();
         Ok(PoseProblem {
             fitness,
@@ -458,26 +477,163 @@ impl PoseProblem {
         }
         inside as f64 / total.max(1) as f64
     }
+
+    /// The portable validity test: the sticks come from the lazy
+    /// forward-kinematics walk, so only the sticks reached pay for
+    /// their sine and cosine. A stick's samples are counted without
+    /// branching, and the verdict is decided at stick boundaries:
+    /// `inside >= needed` and `outside > spare` cannot both hold, since
+    /// `needed + spare` is the sample count, and whichever holds first
+    /// holds for the full count too.
+    fn valid_by_walk(&self, genome: &Pose) -> bool {
+        let rule = &self.validity;
+        let df = self.fitness.distance_field();
+        let (w, raw) = (df.width(), df.raw_values());
+        let (mut inside, mut outside) = (0, 0);
+        for (stick, seg) in genome.segment_iter(&self.dims) {
+            let limit = rule.raw_limits[stick.index()];
+            let s_px = self.camera.segment_to_image(seg);
+            let mut stick_inside = 0;
+            for &t in &rule.fractions {
+                let pixel = df.pixel_at(s_px.a.lerp(s_px.b, t));
+                stick_inside += usize::from(pixel.is_some_and(|(x, y)| raw[y * w + x] < limit));
+            }
+            inside += stick_inside;
+            outside += rule.fractions.len() - stick_inside;
+            if inside >= rule.needed {
+                return true;
+            }
+            if outside > rule.spare {
+                return false;
+            }
+        }
+        // Not reached: after the last stick `inside + outside` is the
+        // sample count, so one of the returns above has fired.
+        inside >= rule.needed
+    }
+
+    /// The vector validity test: all eight sticks placed, then every
+    /// sample counted without a data-dependent exit. Per-stick exits
+    /// mispredict more than they save, so counting all samples is the
+    /// faster test.
+    ///
+    /// # Safety
+    ///
+    /// The host must have AVX-512F and AVX-512VL, and every pixel index
+    /// of the distance field must fit an `i32` (`ValidityRule::vector_count`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl")]
+    unsafe fn valid_by_count(&self, genome: &Pose) -> bool {
+        let mut ends = x86::StickEnds::default();
+        for (stick, seg) in genome.segment_iter(&self.dims) {
+            let s_px = self.camera.segment_to_image(seg);
+            let i = stick.index();
+            ends.ax[i] = s_px.a.x;
+            ends.ay[i] = s_px.a.y;
+            ends.bx[i] = s_px.b.x;
+            ends.by[i] = s_px.b.y;
+        }
+        let rule = &self.validity;
+        let inside = x86::inside_count(
+            &ends,
+            &rule.fractions,
+            &rule.raw_limits,
+            self.fitness.distance_field(),
+        );
+        inside as usize >= rule.needed
+    }
+}
+
+/// The vector validity count. Each register holds one value per stick
+/// (eight sticks, eight f64 lanes), and each loop step handles one
+/// sample fraction for all sticks at once.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::*;
+    use core::arch::x86_64::*;
+
+    /// Image-space stick endpoints, one stick per lane by paper index.
+    #[derive(Default)]
+    pub(super) struct StickEnds {
+        pub(super) ax: [f64; STICK_COUNT],
+        pub(super) ay: [f64; STICK_COUNT],
+        pub(super) bx: [f64; STICK_COUNT],
+        pub(super) by: [f64; STICK_COUNT],
+    }
+
+    /// The pixel index [`DistanceField::pixel_at`] gives each lane of
+    /// `v`, for lanes inside `(−0.5, n − 0.5)`: the truncation, plus 1
+    /// where the exact remainder `v − trunc(v)` is at least 0.5. Lanes
+    /// outside that range hold garbage, and the caller masks them.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    #[inline]
+    unsafe fn round_lanes(v: __m512d) -> __m256i {
+        let whole = _mm512_cvttpd_epi32(v);
+        let rest = _mm512_sub_pd(v, _mm512_cvtepi32_pd(whole));
+        let up = _mm512_cmp_pd_mask::<_CMP_GE_OQ>(rest, _mm512_set1_pd(0.5));
+        _mm256_mask_add_epi32(whole, up, whole, _mm256_set1_epi32(1))
+    }
+
+    /// Counts the samples inside the silhouette over all eight sticks:
+    /// per fraction `f`, each stick's sample `a + (b − a)·f` (the
+    /// separate multiply and add of `Point2::lerp`, no FMA), the
+    /// in-frame mask `−0.5 < x < w − 0.5` and likewise for `y` (the
+    /// range [`DistanceField::pixel_at`] accepts), a masked gather of
+    /// the raw chamfer values, an unsigned compare with each stick's
+    /// limit, and a popcount. The same samples, pixels and comparison
+    /// as the lazy walk, so the same count.
+    #[target_feature(enable = "avx512f,avx512vl")]
+    pub(super) unsafe fn inside_count(
+        ends: &StickEnds,
+        fractions: &[f64],
+        raw_limits: &[u32; STICK_COUNT],
+        field: &DistanceField,
+    ) -> u32 {
+        let ax = _mm512_loadu_pd(ends.ax.as_ptr());
+        let ay = _mm512_loadu_pd(ends.ay.as_ptr());
+        let dx = _mm512_sub_pd(_mm512_loadu_pd(ends.bx.as_ptr()), ax);
+        let dy = _mm512_sub_pd(_mm512_loadu_pd(ends.by.as_ptr()), ay);
+        let low = _mm512_set1_pd(-0.5);
+        let high_x = _mm512_set1_pd(field.width() as f64 - 0.5);
+        let high_y = _mm512_set1_pd(field.height() as f64 - 0.5);
+        let width = _mm256_set1_epi32(field.width() as i32);
+        let limits = _mm256_loadu_si256(raw_limits.as_ptr().cast());
+        let raw = field.raw_values().as_ptr().cast::<i32>();
+        let mut inside = 0;
+        for &f in fractions {
+            let t = _mm512_set1_pd(f);
+            let x = _mm512_add_pd(ax, _mm512_mul_pd(dx, t));
+            let y = _mm512_add_pd(ay, _mm512_mul_pd(dy, t));
+            // Ordered compares: a NaN lane is out of frame, as in
+            // `pixel_at`.
+            let in_frame = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(x, low)
+                & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(x, high_x)
+                & _mm512_cmp_pd_mask::<_CMP_GT_OQ>(y, low)
+                & _mm512_cmp_pd_mask::<_CMP_LT_OQ>(y, high_y);
+            let index = _mm256_add_epi32(_mm256_mullo_epi32(round_lanes(y), width), round_lanes(x));
+            let values =
+                _mm256_mmask_i32gather_epi32::<4>(_mm256_setzero_si256(), in_frame, index, raw);
+            inside += _mm256_mask_cmplt_epu32_mask(in_frame, values, limits).count_ones();
+        }
+        inside
+    }
 }
 
 impl Problem for PoseProblem {
     type Genome = Pose;
 
-    /// Eq. 3 plus the outside-silhouette penalty through the lane
-    /// kernel, memoised on the chromosome bits.
+    /// Eq. 3 plus the outside-silhouette penalty, as a batch of one:
+    /// a single genome takes the same memo and the same cluster walk as
+    /// a generation.
     fn fitness(&self, genome: &Pose) -> f64 {
-        let key = FitnessMemo::key(genome);
-        if let Some(cached) = self.memo.get(&key) {
-            return cached;
-        }
-        let value = self.fitness.evaluate_lanes(genome, &self.dims);
-        self.memo.insert(key, value);
-        value
+        let mut out = [0.0];
+        self.fitness_batch(std::slice::from_ref(genome), &mut out);
+        out[0]
     }
 
     /// Batched evaluation: memo lookups first, then the distinct
     /// missing chromosomes are projected and walked against the
-    /// prepared frame in one batched lane-kernel pass. Each distinct
+    /// prepared frame in one batched cluster walk. Each distinct
     /// chromosome is evaluated and memoised exactly once however often
     /// it repeats in the batch, so `memo.len()` — the observability
     /// layer's `unique_genomes` — counts exactly what per-genome
@@ -622,45 +778,25 @@ impl Problem for PoseProblem {
     /// real pipeline produces.
     ///
     /// The samples are `Segment::sample_iter`'s, with their fractions
-    /// computed once per problem. The sticks come from the lazy
-    /// forward-kinematics walk, so only the sticks reached pay for
-    /// their sine and cosine. Each sample is mapped to its pixel by
-    /// [`DistanceField::pixel_at`] (exactly `f64::round`'s pixel) and
-    /// its raw chamfer value compared with the stick's integer limit.
-    /// A stick's samples are counted without branching, and the verdict
-    /// is decided at stick boundaries: `inside >= needed` and
-    /// `outside > spare` cannot both hold, since `needed + spare` is
-    /// the sample count, and whichever holds first holds for the full
-    /// count too. Equal to the full fraction test (property-tested
-    /// against `inside_fraction`).
+    /// computed once per problem. Each maps to the pixel
+    /// [`DistanceField::pixel_at`] gives (exactly `f64::round`'s
+    /// pixel), whose raw chamfer value is compared with the stick's
+    /// integer limit. With AVX-512 the test places all eight sticks and
+    /// counts every sample in vector registers (`valid_by_count`);
+    /// elsewhere it walks the sticks lazily and decides at stick
+    /// boundaries (`valid_by_walk`). Both equal the full fraction test
+    /// (property-tested against `inside_fraction`).
     fn is_valid(&self, genome: &Pose) -> bool {
-        let rule = &self.validity;
-        if rule.needed == 0 {
+        if self.validity.needed == 0 {
             return true;
         }
-        let df = self.fitness.distance_field();
-        let (w, raw) = (df.width(), df.raw_values());
-        let (mut inside, mut outside) = (0, 0);
-        for (stick, seg) in genome.segment_iter(&self.dims) {
-            let limit = rule.raw_limits[stick.index()];
-            let s_px = self.camera.segment_to_image(seg);
-            let mut stick_inside = 0;
-            for &t in &rule.fractions {
-                let pixel = df.pixel_at(s_px.a.lerp(s_px.b, t));
-                stick_inside += usize::from(pixel.is_some_and(|(x, y)| raw[y * w + x] < limit));
-            }
-            inside += stick_inside;
-            outside += rule.fractions.len() - stick_inside;
-            if inside >= rule.needed {
-                return true;
-            }
-            if outside > rule.spare {
-                return false;
-            }
+        #[cfg(target_arch = "x86_64")]
+        if self.validity.vector_count {
+            // SAFETY: `vector_count` holds only when the host has
+            // AVX-512F and AVX-512VL and every pixel index fits an i32.
+            return unsafe { self.valid_by_count(genome) };
         }
-        // Not reached: after the last stick `inside + outside` is the
-        // sample count, so one of the returns above has fired.
-        inside >= rule.needed
+        self.valid_by_walk(genome)
     }
 
     fn seeds(&self) -> Vec<Pose> {
@@ -762,10 +898,87 @@ mod tests {
         serde::Deserialize::from_value(&value).expect("dims deserialise")
     }
 
+    /// `is_valid`'s verdict, then every validity tier this host
+    /// supports called directly: the lazy walk always, the vector count
+    /// with AVX-512F and AVX-512VL.
+    fn tier_verdicts(p: &PoseProblem, pose: &Pose) -> Vec<(&'static str, bool)> {
+        let mut verdicts = vec![
+            ("is_valid", p.is_valid(pose)),
+            ("lazy walk", p.valid_by_walk(pose)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if p.validity.vector_count {
+            // SAFETY: `vector_count` holds only when the host has the
+            // features and the frame's pixel indices fit an i32.
+            verdicts.push(("vector count", unsafe { p.valid_by_count(pose) }));
+        }
+        verdicts
+    }
+
+    /// The vector count on hand-picked samples: every pixel-rounding
+    /// tie (`k + ½`), the values one ulp either side of the frame's
+    /// edges, ±0, NaN, ±inf and ±1e300, over a ragged silhouette whose
+    /// neighbouring pixels differ, against eight stick limits from zero
+    /// to the blank-field sentinel. The count must equal `pixel_at`'s.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn vector_count_matches_pixel_at_on_ties_and_edges() {
+        if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512vl")) {
+            return;
+        }
+        let mask = Mask::from_fn(7, 5, |x, y| (x * 3 + y * 5) % 4 == 0);
+        let field = DistanceField::new(&mask);
+        let below = |v: f64| f64::from_bits(v.to_bits() - 1);
+        let mut coords = vec![
+            -0.5,
+            below(-0.5),
+            -0.0,
+            0.0,
+            below(0.5),
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+        ];
+        coords.extend((0..8).map(|k| k as f64 + 0.5));
+        coords.extend([below(4.5), below(6.5), 7.0]);
+        let limits =
+            [0.0, 0.3, 1.0, 1.4, 2.0, 3.0, 1e9, f64::INFINITY].map(DistanceField::raw_limit);
+        let raw = field.raw_values();
+        for &x in &coords {
+            for &y in &coords {
+                // Sticks of zero length, so every fraction samples the
+                // point itself; one limit per stick lane.
+                let mut ends = x86::StickEnds::default();
+                for i in 0..STICK_COUNT {
+                    ends.ax[i] = x;
+                    ends.bx[i] = x;
+                    ends.ay[i] = y;
+                    ends.by[i] = y;
+                }
+                let fractions = [0.0, 0.5, 1.0];
+                let p = Point2::new(x, y);
+                let expected = limits
+                    .iter()
+                    .filter(|&&limit| {
+                        field
+                            .pixel_at(p.lerp(p, 0.5))
+                            .is_some_and(|(px, py)| raw[py * field.width() + px] < limit)
+                    })
+                    .count() as u32
+                    * fractions.len() as u32;
+                // SAFETY: the features were detected above.
+                let got = unsafe { x86::inside_count(&ends, &fractions, &limits, &field) };
+                assert_eq!(got, expected, "sample ({x:e}, {y:e})");
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
-        /// The early-exit test returns the full fraction test's verdict
+        /// Every validity tier returns the full fraction test's verdict
         /// for poses reaching off every edge of the frame, with samples
         /// on exact half-pixel coordinates (where `round` breaks ties)
         /// or off the grid, any sample count, the extreme fractions, and
@@ -822,7 +1035,9 @@ mod tests {
                 *a = Angle::from_degrees(if on_grid { 90.0 * quarter as f64 } else { free });
             }
             let fraction = p.inside_fraction(&pose);
-            proptest::prop_assert_eq!(p.is_valid(&pose), fraction >= validity_fraction);
+            for (tier, verdict) in tier_verdicts(&p, &pose) {
+                proptest::prop_assert_eq!(verdict, fraction >= validity_fraction, "{}", tier);
+            }
             // At the pose's own fraction and the next one up, a single
             // sample counted differently flips the verdict.
             let total = (STICK_COUNT * samples) as f64;
@@ -841,7 +1056,9 @@ mod tests {
                     at_k,
                 )
                 .unwrap();
-                proptest::prop_assert_eq!(q.is_valid(&pose), fraction >= k / total);
+                for (tier, verdict) in tier_verdicts(&q, &pose) {
+                    proptest::prop_assert_eq!(verdict, fraction >= k / total, "{}", tier);
+                }
             }
         }
     }

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use slj_ga::engine::{evolve, GaConfig, Problem};
-use slj_ga::fitness::SilhouetteFitness;
+use slj_ga::fitness::{BatchScratch, LaneTier, SilhouetteFitness};
 use slj_ga::pose_problem::{InitStrategy, PoseProblem, PoseProblemConfig, DEFAULT_DELTA_ANGLES};
 use slj_motion::{BodyDims, Pose};
 use slj_video::render::render_silhouette;
@@ -290,15 +290,67 @@ proptest! {
         .unwrap();
         let poses: Vec<Pose> = (0..9).map(|_| p.random_genome(&mut rng)).collect();
         let mut batch = vec![0.0f64; poses.len()];
-        let mut scratch = slj_ga::fitness::BatchScratch::default();
+        let mut scratch = BatchScratch::default();
         fitness.evaluate_batch(&poses, &dims, &mut batch, &mut scratch);
         for (pose, &batched) in poses.iter().zip(&batch) {
             let reference = fitness.evaluate_unpruned(pose, &dims);
-            prop_assert_eq!(fitness.evaluate_lanes(pose, &dims).to_bits(), reference.to_bits());
+            // A batch of one on a fresh scratch: the single-genome walk.
+            let mut single = [0.0];
+            fitness.evaluate_batch(
+                std::slice::from_ref(pose),
+                &dims,
+                &mut single,
+                &mut BatchScratch::default(),
+            );
+            prop_assert_eq!(single[0].to_bits(), reference.to_bits());
             prop_assert_eq!(fitness.evaluate(pose, &dims).to_bits(), reference.to_bits());
             // The shared prune-hint walk across genomes never changes
             // the returned fitness.
             prop_assert_eq!(batched.to_bits(), reference.to_bits());
+        }
+    }
+
+    #[test]
+    fn every_lane_tier_matches_unpruned_on_random_masks(
+        seed in any::<u64>(),
+        stride in 1usize..=5,
+        len in 1usize..=17,
+        density in 0.001f64..0.2,
+        with_body in any::<bool>(),
+    ) {
+        // Salt noise, alone or over a rendered body: a cluster of
+        // scattered specks has a loose box, so its bound test keeps most
+        // sticks, and a body cluster a tight one. Every tier, called
+        // directly, must return the unpruned scan's bits for every
+        // genome of a batch of any length (every group width).
+        let dims = BodyDims::default();
+        let camera = Camera::compact();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pose = Pose::standing(&dims);
+        pose.center.x = rng.gen_range(0.3..1.0);
+        let body = render_silhouette(&pose, &dims, &camera);
+        let sil = slj_imgproc::mask::Mask::from_fn(body.width(), body.height(), |x, y| {
+            (with_body && body.get(x, y)) || rng.gen_bool(density)
+        });
+        prop_assume!(sil.count() > 0);
+        let fitness =
+            SilhouetteFitness::with_outside_weight(&sil, &dims, &camera, stride, 0.0).unwrap();
+        let p = PoseProblem::new(
+            &sil,
+            &dims,
+            &camera,
+            InitStrategy::FullRange,
+            PoseProblemConfig::default(),
+        )
+        .unwrap();
+        let genomes: Vec<Pose> = (0..len).map(|_| p.random_genome(&mut rng)).collect();
+        for tier in LaneTier::supported() {
+            let mut out = vec![0.0f64; len];
+            fitness.evaluate_batch_on(tier, &genomes, &dims, &mut out, &mut BatchScratch::default());
+            for (genome, value) in genomes.iter().zip(&out) {
+                let reference = fitness.evaluate_unpruned(genome, &dims);
+                prop_assert_eq!(value.to_bits(), reference.to_bits(), "{:?}", tier);
+            }
         }
     }
 

@@ -523,3 +523,97 @@ proptest! {
         prop_assert_eq!(packed, reference);
     }
 }
+
+// ---------- Eq. 3 walk layout ----------
+
+/// Candidate pixels of one layout shape in a `w × h` frame, in raster
+/// order: anywhere, one row, one column, or the frame's edges.
+fn shape_pixels(shape: u8, w: usize, h: usize, line: usize) -> Vec<(usize, usize)> {
+    (0..h)
+        .flat_map(|y| (0..w).map(move |x| (x, y)))
+        .filter(|&(x, y)| match shape {
+            0 => true,
+            1 => y == line % h,
+            2 => x == line % w,
+            _ => x == 0 || y == 0 || x == w - 1 || y == h - 1,
+        })
+        .collect()
+}
+
+proptest! {
+    /// The Morton cluster layout of 0 to 70 points (the cluster
+    /// boundaries 1, 15, 16 and 17 drawn often), as a scattered set, a
+    /// single row, a single column or the frame's edges: the slots are a
+    /// permutation of `0..n` that holds each raster point, each cluster
+    /// box covers its lanes, padding repeats a real point of its own
+    /// cluster, and `iter()` still yields raster order.
+    #[test]
+    fn walk_layout_is_a_permutation_in_covering_clusters(
+        shape in 0u8..4,
+        size in (1usize..72, 1usize..72),
+        line in 0usize..72,
+        count in (0u8..3, 0usize..=70, 0usize..4),
+        seed in any::<u64>(),
+    ) {
+        use slj_imgproc::lanes::{PreparedFrame, CLUSTER};
+
+        let (w, h) = size;
+        let mut candidates = shape_pixels(shape, w, h, line);
+        let want = match count.0 {
+            0 => [1, 15, 16, 17][count.2],
+            _ => count.1,
+        };
+        // A seeded shuffle: sort by a multiply-xor hash of the pixel.
+        candidates.sort_by_key(|&(x, y)| {
+            (((x as u64) << 32) | (y as u64 ^ seed)).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 7
+        });
+        candidates.truncate(want);
+        let mask = Mask::from_fn(w, h, |x, y| candidates.contains(&(x, y)));
+        let frame = PreparedFrame::from_mask(&mask, 1);
+        let raster: Vec<(usize, usize)> = mask.foreground_pixels().collect();
+        let n = raster.len();
+        prop_assert_eq!(frame.len(), n);
+
+        // Raster order through `iter()` and `point()`.
+        let got: Vec<(f64, f64)> = frame.iter().map(|p| (p.x, p.y)).collect();
+        let expected: Vec<(f64, f64)> = raster.iter().map(|&(x, y)| (x as f64, y as f64)).collect();
+        prop_assert_eq!(&got, &expected);
+
+        // Whole clusters, padding only in the last.
+        prop_assert_eq!(frame.walk_len(), n.next_multiple_of(CLUSTER));
+        prop_assert_eq!(frame.num_clusters() * CLUSTER, frame.walk_len());
+        let walk = |s: usize| {
+            let (xs, ys) = frame.cluster(s / CLUSTER);
+            (xs[s % CLUSTER], ys[s % CLUSTER])
+        };
+
+        // The slots: a permutation of 0..n holding each raster point.
+        let mut seen = vec![false; n];
+        prop_assert_eq!(frame.slots().len(), n);
+        for (i, &slot) in frame.slots().iter().enumerate() {
+            let slot = slot as usize;
+            prop_assert!(slot < n, "slot {} of {} points", slot, n);
+            prop_assert!(!seen[slot], "slot {} twice", slot);
+            seen[slot] = true;
+            prop_assert_eq!(walk(slot), expected[i]);
+        }
+
+        for c in 0..frame.num_clusters() {
+            let b = frame.cluster_bounds(c);
+            let (xs, ys) = frame.cluster(c);
+            for l in 0..CLUSTER {
+                prop_assert!(xs[l] >= b.min_x && xs[l] <= b.max_x);
+                prop_assert!(ys[l] >= b.min_y && ys[l] <= b.max_y);
+            }
+            // Padding lanes repeat a real lane of the same cluster.
+            let real = n.saturating_sub(c * CLUSTER).min(CLUSTER);
+            prop_assert!(real > 0);
+            for l in real..CLUSTER {
+                prop_assert!(
+                    (0..real).any(|r| (xs[r], ys[r]) == (xs[l], ys[l])),
+                    "padding lane {} of cluster {}", l, c
+                );
+            }
+        }
+    }
+}

@@ -18,8 +18,24 @@ use std::ops::{Add, Sub};
 
 /// An angle in degrees, normalised to `[0, 360)`, measured from the
 /// vertical axis per the paper's Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct Angle(f64);
+
+/// Reads degrees through [`Angle::from_degrees`], so a deserialised
+/// angle is normalised like a constructed one: 370 reads as 10. A
+/// non-finite value, which `from_degrees` refuses with a panic, is kept
+/// as it is for the caller's validation to refuse with its own typed
+/// error (e.g. `OpenRequest::validate`).
+impl Deserialize for Angle {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
+        let degrees = f64::from_value(value)?;
+        Ok(if degrees.is_finite() {
+            Angle::from_degrees(degrees)
+        } else {
+            Angle(degrees)
+        })
+    }
+}
 
 impl Angle {
     /// Straight up (the vertical reference axis).
@@ -183,6 +199,45 @@ mod tests {
         let below = Angle::from_degrees(-5.684341886080802e-14).degrees();
         assert_eq!(below, 360.0 - 5.684341886080802e-14);
         assert!(below < 360.0, "{below}");
+    }
+
+    #[test]
+    fn deserialising_normalises_like_from_degrees() {
+        let read = |deg: f64| Angle::from_value(&serde::Value::F64(deg)).unwrap();
+        assert_eq!(read(370.0).degrees(), 10.0);
+        assert_eq!(read(-10.0).degrees(), 350.0);
+        assert_eq!(
+            Angle::from_value(&serde::Value::I64(-350))
+                .unwrap()
+                .degrees(),
+            10.0
+        );
+        // Every normalised value reads back bit for bit.
+        let below_360 = f64::from_bits(360.0f64.to_bits() - 1);
+        for deg in [
+            0.0,
+            5e-324,
+            1e-300,
+            10.0,
+            90.0,
+            179.99999999999997,
+            270.5,
+            below_360,
+        ] {
+            let a = Angle::from_degrees(deg);
+            assert_eq!(
+                Angle::from_value(&a.to_value())
+                    .unwrap()
+                    .degrees()
+                    .to_bits(),
+                a.degrees().to_bits(),
+                "{deg:e}"
+            );
+        }
+        // Non-finite values are kept for the caller's validation.
+        assert_eq!(read(f64::INFINITY).degrees(), f64::INFINITY);
+        assert_eq!(read(f64::NEG_INFINITY).degrees(), f64::NEG_INFINITY);
+        assert!(Angle::from_value(&serde::Value::Str("90".into())).is_err());
     }
 
     #[test]
