@@ -12,6 +12,8 @@
 //! cargo run --release -p slj-bench --bin fig1_background
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 /// Prints an aligned markdown table to stdout.

@@ -19,6 +19,8 @@
 //! pose from `truth.json` — exactly the information the paper's manual
 //! step provides.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod commands;
 pub mod error;

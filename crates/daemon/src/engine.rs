@@ -97,7 +97,8 @@ impl OpenRequest {
     /// Checks every field against the rules its constructor enforces —
     /// `Camera::new` plus finite offsets, `Video::new` (fps),
     /// `BodyDims::for_height` plus a finite positive length and
-    /// thickness per stick, `Pose::from_genes` and the streaming
+    /// thickness per stick, `Pose::from_genes`, a first-pose centre
+    /// that the camera places inside the frame, and the streaming
     /// warm-up of 2 to [`MAX_WARMUP`] frames. Deserialising
     /// bypasses those constructors, so both network edges (daemon and
     /// gateway) call this before admitting a request: a request that
@@ -148,6 +149,21 @@ impl OpenRequest {
         }
         finite("first_pose.center.x", self.first_pose.center.x)?;
         finite("first_pose.center.y", self.first_pose.center.y)?;
+        // A centre off the frame gives the first GA no silhouette to
+        // track: far off it scores nonsense, and at extreme values the
+        // projection overflows and every fitness is NaN.
+        let centre = camera.world_to_image(self.first_pose.center);
+        for (field, pixel, extent) in [
+            ("first_pose.center.x", centre.x, camera.width),
+            ("first_pose.center.y", centre.y, camera.height),
+        ] {
+            if !(0.0..extent as f64).contains(&pixel) {
+                refuse(
+                    field,
+                    format!("must map into the frame, pixel 0 to {extent}, got {pixel}"),
+                )?;
+            }
+        }
         for (i, angle) in self.first_pose.angles.iter().enumerate() {
             finite(format!("first_pose.angles[{i}]"), angle.degrees())?;
         }

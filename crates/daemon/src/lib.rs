@@ -33,6 +33,8 @@
 //! operator client) finishes in-flight sessions, refuses new `OPEN`s
 //! with a typed rejection, then shuts the listeners down.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod client;
 pub mod engine;

@@ -20,6 +20,8 @@
 //! matrix emit byte-identical JSON, which is what lets CI diff the
 //! accuracy report like source code.
 
+#![forbid(unsafe_code)]
+
 pub mod calibrate;
 pub mod matrix;
 pub mod metrics;

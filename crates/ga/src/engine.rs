@@ -21,6 +21,7 @@ use crate::error::GaError;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A GA problem definition: the engine is generic over this.
 pub trait Problem {
@@ -198,6 +199,15 @@ fn pick_rank_biased(rng: &mut StdRng, len: usize) -> usize {
     ((u * u * len as f64) as usize).min(len - 1)
 }
 
+/// Ranks two fitness values, best (lowest) first: `f64::total_cmp`
+/// among numbers and every NaN after every number. `total_cmp` alone
+/// puts a negative NaN (x86's `inf − inf`) ahead of `-inf`, so a
+/// genome scored NaN would win. A fitness is never `-0.0`, so among
+/// numbers this is `<`.
+pub(crate) fn rank_fitness(a: f64, b: f64) -> Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+}
+
 /// Runs the GA to completion.
 ///
 /// # Errors
@@ -235,7 +245,7 @@ pub fn evolve<P: Problem>(
 
     let mut evaluations = genomes.len();
     let mut population = evaluate_batch(problem, genomes);
-    population.sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
+    population.sort_by(|a, b| rank_fitness(a.fitness, b.fitness));
 
     let mut best = population[0].genome.clone();
     let mut best_fitness = population[0].fitness;
@@ -299,9 +309,9 @@ pub fn evolve<P: Problem>(
 
         evaluations += next_genomes.len();
         population = evaluate_batch(problem, next_genomes);
-        population.sort_by(|a, b| a.fitness.total_cmp(&b.fitness));
+        population.sort_by(|a, b| rank_fitness(a.fitness, b.fitness));
 
-        if population[0].fitness < best_fitness {
+        if rank_fitness(population[0].fitness, best_fitness).is_lt() {
             best_fitness = population[0].fitness;
             best = population[0].genome.clone();
             generation_of_best = generation;
@@ -411,6 +421,33 @@ mod tests {
         }
     }
 
+    /// [`Sphere`] whose one seed, the target itself, scores a negative
+    /// NaN: the value x86 gives `inf − inf`.
+    struct NanSeed(Sphere);
+
+    impl Problem for NanSeed {
+        type Genome = [f64; 3];
+        fn fitness(&self, g: &[f64; 3]) -> f64 {
+            if *g == self.0.target {
+                -f64::NAN
+            } else {
+                self.0.fitness(g)
+            }
+        }
+        fn random_genome(&self, rng: &mut StdRng) -> [f64; 3] {
+            self.0.random_genome(rng)
+        }
+        fn crossover(&self, a: &[f64; 3], b: &[f64; 3], rng: &mut StdRng) -> ([f64; 3], [f64; 3]) {
+            self.0.crossover(a, b, rng)
+        }
+        fn mutate(&self, g: &mut [f64; 3], rng: &mut StdRng) {
+            self.0.mutate(g, rng)
+        }
+        fn seeds(&self) -> Vec<[f64; 3]> {
+            vec![self.0.target]
+        }
+    }
+
     fn cfg() -> GaConfig {
         GaConfig {
             population_size: 60,
@@ -418,6 +455,20 @@ mod tests {
             patience: None,
             ..GaConfig::default()
         }
+    }
+
+    #[test]
+    fn nan_fitness_never_wins() {
+        let problem = NanSeed(Sphere {
+            target: [1.0, 2.0, 3.0],
+        });
+        let run = evolve(&problem, &cfg(), &mut StdRng::seed_from_u64(3)).unwrap();
+        assert_ne!(run.best, problem.0.target);
+        assert!(run.best_fitness.is_finite(), "{}", run.best_fitness);
+        assert!(run.history.iter().all(|f| f.is_finite()));
+        assert!(rank_fitness(1e300, -f64::NAN).is_lt());
+        assert!(rank_fitness(f64::INFINITY, f64::NAN).is_lt());
+        assert!(rank_fitness(-1.0, 2.0).is_lt());
     }
 
     #[test]

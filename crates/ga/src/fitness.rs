@@ -40,12 +40,17 @@
 //! distance already exceeds the worst lane's best), scores the
 //! survivors, and stores each point's square root at its walk slot.
 //! Each genome's roots are then summed in raster order through the
-//! frame's slot map. Every lane performs exactly the scalar arithmetic
-//! on the same values, and the sum adds the same values in the same
-//! order as the scalar scan, so the result is bit-identical to both
-//! scalar paths — the equivalence the lane tests here and in
-//! `tests/properties.rs` pin down for every
-//! [`LaneTier`] the host supports.
+//! frame's slot map. The walk is one portable source, written
+//! branch-free over fixed-width arrays; each [`LaneTier`] is that
+//! source compiled for one instruction set (AVX-512F, AVX2, or the
+//! baseline target), so no tier carries intrinsics of its own. Every
+//! lane performs exactly the scalar arithmetic on the same values —
+//! Rust contracts no FMA, and vector division, square root and the
+//! compare-and-select `min`/`max` round and pick as their scalar forms
+//! do — and the sum adds the same values in the same order as the
+//! scalar scan, so the result is bit-identical to both scalar paths:
+//! the equivalence the lane tests here and in `tests/properties.rs`
+//! pin down for every tier the host supports.
 
 use crate::error::GaError;
 use slj_imgproc::geometry::{Point2, Vec2};
@@ -96,6 +101,9 @@ struct PreparedStick {
     len_sq: f64,
     /// `1 / t_l²`.
     inv_t_sq: f64,
+    /// Upper end of the projection parameter's clamp: 1, or 0 for a
+    /// degenerate stick, whose closest point is always `a`.
+    t_max: f64,
     min_x: f64,
     min_y: f64,
     max_x: f64,
@@ -105,12 +113,14 @@ struct PreparedStick {
 impl PreparedStick {
     fn new(a: Point2, b: Point2, thickness: f64) -> PreparedStick {
         let d = b - a;
+        let len_sq = d.norm_sq();
         PreparedStick {
             a,
             b,
             d,
-            len_sq: d.norm_sq(),
+            len_sq,
             inv_t_sq: 1.0 / (thickness * thickness),
+            t_max: if len_sq <= f64::EPSILON { 0.0 } else { 1.0 },
             min_x: a.x.min(b.x),
             min_y: a.y.min(b.y),
             max_x: a.x.max(b.x),
@@ -381,15 +391,7 @@ impl SilhouetteFitness {
             scratch.roots.resize(roots, 0.0);
         }
         // SAFETY: the host supports `tier`, asserted above.
-        unsafe {
-            tier.walk(
-                &self.frame,
-                &scratch.sticks,
-                &mut scratch.hints,
-                &mut scratch.roots,
-                out,
-            )
-        };
+        unsafe { tier.walk(&self.frame, scratch, out) };
         let n = self.frame.len() as f64;
         for (slot, sticks) in out.iter_mut().zip(&scratch.sticks) {
             *slot /= n;
@@ -545,10 +547,11 @@ impl SilhouetteFitness {
 
 /// Reusable scratch for [`SilhouetteFitness::evaluate_batch`]: the
 /// batch's prepared stick sets, the per-cluster prune hints shared
-/// across genomes, and one walk group's per-genome roots buffers. Hints
-/// persist across calls on purpose — a hint only decides which stick
-/// seeds a cluster's lane minima (work saving), never the returned
-/// values, so carrying them between generations is free warm-up.
+/// across genomes, and one walk group's per-genome roots buffers and
+/// transposed stick boxes. Hints persist across calls on purpose — a
+/// hint only decides which stick seeds a cluster's lane minima (work
+/// saving), never the returned values, so carrying them between
+/// generations is free warm-up.
 #[derive(Debug, Clone, Default)]
 pub struct BatchScratch {
     sticks: Vec<[PreparedStick; 8]>,
@@ -556,6 +559,8 @@ pub struct BatchScratch {
     /// Up to [`GROUP`] genomes' square roots, genome-major, each
     /// `walk_len` long and indexed by walk slot.
     roots: Vec<f64>,
+    /// One walk group's transposed stick boxes.
+    boxes: [StickBoxes; GROUP],
 }
 
 // --- cluster walk ----------------------------------------------------
@@ -563,32 +568,32 @@ pub struct BatchScratch {
 // The walk scores the frame one CLUSTER-point, Morton-ordered cluster
 // at a time (see `slj_imgproc::lanes`) and stores each point's square
 // root at its walk slot; each genome's roots are then summed in raster
-// order through the frame's slot map. Bit-exactness with the scalar
-// scans rests on three facts:
+// order through the frame's slot map. One source serves every tier:
+// `walk_groups` and its helpers are `#[inline(always)]`, their lane
+// loops branch-free over fixed-width arrays, and each `LaneTier` is
+// that source compiled for one instruction set. Bit-exactness with
+// the scalar scans rests on three facts:
 //
 // 1. Each lane performs the exact scalar `scaled_distance_sq` f64
 //    sequence on the same coordinates, and a minimum over the same
 //    non-negative values does not depend on the order they are visited
 //    in — so per-lane minima match the scalar per-pixel minima
-//    bit-for-bit, whichever stick seeds them.
+//    bit-for-bit, whichever stick seeds them. Rust's float semantics
+//    carry this to every tier: no FMA contraction, correctly rounded
+//    vector division and square root, and `min`/`max` written as
+//    compare-and-select, whose vector forms pick the same operand.
 // 2. The cluster-level skip test only ever under-prunes: the stick-AABB
 //    to cluster-box distance lower-bounds every lane's point-to-AABB
 //    bound, and the test compares it against the *worst* lane's best
 //    after the hint stick (times the same `PRUNE_SLACK` the scalar test
 //    uses), so a skipped stick could not have won in any lane. Every
 //    survivor is scored; one that a tighter bound would have skipped is
-//    strictly smaller in no lane, so the strict-less blend keeps the
+//    strictly smaller in no lane, so the strict-less select keeps the
 //    lane's value.
 // 3. f64 addition is order-sensitive, so the sum reads the roots back
 //    in raster order — `roots[slot[i]]` for `i` in `0..n` — and adds
 //    the very values the scalar scan adds, in its order. Padding lanes
 //    write the slots at and above `n`, which the sum never reads.
-//
-// `#[target_feature]` functions recompile the same walk for wider ISAs,
-// picked once per batch by `LaneTier::fastest` (the baseline build
-// targets SSE2). Every tier executes identical IEEE-754 operations —
-// vectorised min/max/sqrt are exact, and no FMA contraction is
-// introduced — so the tier is a pure throughput setting.
 
 /// Genomes per walk group: the widest group the batch walk uses.
 /// Groups of 8, then at most one each of 4, 2 and 1, share each
@@ -596,17 +601,18 @@ pub struct BatchScratch {
 /// `N` independent add chains to overlap.
 const GROUP: usize = 8;
 
-/// An instruction-set tier of the Eq. 3 cluster walk. Every tier
-/// returns the same bits; they differ only in speed.
-/// [`SilhouetteFitness::evaluate_batch`] runs
+/// An instruction-set tier of the Eq. 3 cluster walk: one source
+/// compiled for each. Every tier returns the same bits; they differ
+/// only in speed. [`SilhouetteFitness::evaluate_batch`] runs
 /// [`LaneTier::fastest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneTier {
-    /// Portable Rust, one cluster's lanes per loop.
+    /// The walk compiled for the build's baseline target (SSE2 on
+    /// x86-64).
     Scalar,
-    /// x86-64 AVX2: each cluster as four 4-lane quarters.
+    /// The walk compiled with x86-64 AVX2 enabled.
     Avx2,
-    /// x86-64 AVX-512F: each cluster as two 8-lane halves.
+    /// The walk compiled with x86-64 AVX-512F enabled.
     Avx512,
 }
 
@@ -637,571 +643,279 @@ impl LaneTier {
         Self::supported().next().unwrap_or(LaneTier::Scalar)
     }
 
-    /// Raw Eq. 3 sums (before `/ N`) of every genome in `sticks`, into
-    /// `totals`, in groups of [`GROUP`], then at most one group each of
-    /// 4, 2 and 1. `roots` holds at least `GROUP * frame.walk_len()`
-    /// values and `hints` one per cluster.
+    /// [`walk_groups`] compiled for this tier.
     ///
     /// # Safety
     ///
     /// The host must support the tier ([`LaneTier::is_supported`]).
-    unsafe fn walk(
-        self,
-        frame: &PreparedFrame,
-        sticks: &[[PreparedStick; 8]],
-        hints: &mut [u32],
-        roots: &mut [f64],
-        totals: &mut [f64],
-    ) {
-        let groups: [GroupWalk; 4] = match self {
-            LaneTier::Scalar => [
-                group_scalar::<GROUP>,
-                group_scalar::<4>,
-                group_scalar::<2>,
-                group_scalar::<1>,
-            ],
+    unsafe fn walk(self, frame: &PreparedFrame, scratch: &mut BatchScratch, totals: &mut [f64]) {
+        match self {
+            LaneTier::Scalar => walk_groups(frame, scratch, totals),
+            // SAFETY: the caller guarantees the tier's features.
             #[cfg(target_arch = "x86_64")]
-            LaneTier::Avx2 => [
-                x86::group_avx2::<GROUP>,
-                x86::group_avx2::<4>,
-                x86::group_avx2::<2>,
-                x86::group_avx2::<1>,
-            ],
+            LaneTier::Avx2 => unsafe { walk_avx2(frame, scratch, totals) },
+            // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
-            LaneTier::Avx512 => [
-                x86::group_avx512::<GROUP>,
-                x86::group_avx512::<4>,
-                x86::group_avx512::<2>,
-                x86::group_avx512::<1>,
-            ],
+            LaneTier::Avx512 => unsafe { walk_avx512(frame, scratch, totals) },
             #[cfg(not(target_arch = "x86_64"))]
             _ => unreachable!("{self:?} exists only on x86-64"),
-        };
-        let mut done = 0;
-        for (width, group) in [GROUP, 4, 2, 1].into_iter().zip(groups) {
-            while sticks.len() - done >= width {
-                // SAFETY: the caller guarantees the tier's features.
-                unsafe {
-                    group(
-                        frame,
-                        &sticks[done..done + width],
-                        hints,
-                        roots,
-                        &mut totals[done..done + width],
-                    )
-                };
-                done += width;
-            }
         }
     }
 }
 
-/// One tier's walk of the whole frame for a group of genomes, writing
-/// their raw sums. `unsafe` because the SIMD tiers need their CPU
-/// features.
-type GroupWalk =
-    unsafe fn(&PreparedFrame, &[[PreparedStick; 8]], &mut [u32], &mut [f64], &mut [f64]);
-
-/// One lane of [`PreparedStick::scaled_distance_sq`]: identical f64
-/// operations in identical order, with the degenerate-stick test
-/// hoisted (it is uniform across lanes) so the lane loop stays
-/// branch-free and vectorises.
-#[inline(always)]
-fn lane_scaled_distance_sq(s: &PreparedStick, degenerate: bool, px: f64, py: f64) -> f64 {
-    let qx = px - s.a.x;
-    let qy = py - s.a.y;
-    let raw = (qx * s.d.x + qy * s.d.y) / s.len_sq;
-    let t = if degenerate { 0.0 } else { raw.clamp(0.0, 1.0) };
-    let cx = s.a.x + s.d.x * t;
-    let cy = s.a.y + s.d.y * t;
-    let dx = px - cx;
-    let dy = py - cy;
-    (dx * dx + dy * dy) * s.inv_t_sq
+/// [`walk_groups`] compiled with AVX2; callable only where the host
+/// has it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn walk_avx2(frame: &PreparedFrame, scratch: &mut BatchScratch, totals: &mut [f64]) {
+    walk_groups(frame, scratch, totals);
 }
 
-/// Scaled squared distance between a stick's AABB and a cluster's box:
-/// a lower bound of the stick's distance to every point of the cluster.
-#[inline(always)]
-fn box_lower_bound_sq(s: &PreparedStick, b: ClusterBounds) -> f64 {
-    let dx = (s.min_x - b.max_x).max(b.min_x - s.max_x).max(0.0);
-    let dy = (s.min_y - b.max_y).max(b.min_y - s.max_y).max(0.0);
-    (dx * dx + dy * dy) * s.inv_t_sq
+/// [`walk_groups`] compiled with AVX-512F; callable only where the
+/// host has it.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn walk_avx512(frame: &PreparedFrame, scratch: &mut BatchScratch, totals: &mut [f64]) {
+    walk_groups(frame, scratch, totals);
 }
 
-/// Scores one cluster for one genome on the portable tier: the hint
-/// stick on every lane, one bound test of every other stick against
-/// the cluster's box, every survivor on every lane, and the square
-/// roots into `roots`. Returns the winning stick at the last lane, the
-/// cluster's next hint.
+/// Raw Eq. 3 sums (before `/ N`) of every genome in `scratch.sticks`,
+/// into `totals`, in groups of [`GROUP`], then at most one group each
+/// of 4, 2 and 1. `scratch.roots` holds at least
+/// `GROUP * frame.walk_len()` values and `scratch.hints` one per
+/// cluster. Inlined into each tier's entry point, so every call below
+/// it compiles for that tier's instruction set.
+#[inline(always)]
+fn walk_groups(frame: &PreparedFrame, scratch: &mut BatchScratch, totals: &mut [f64]) {
+    let BatchScratch {
+        sticks,
+        hints,
+        roots,
+        boxes,
+    } = scratch;
+    let mut done = 0;
+    while sticks.len() - done >= GROUP {
+        let (group, sums) = (&sticks[done..done + GROUP], &mut totals[done..done + GROUP]);
+        group_walk::<GROUP>(frame, group, hints, roots, boxes, sums);
+        done += GROUP;
+    }
+    let rest = sticks.len() - done;
+    if rest & 4 != 0 {
+        let (group, sums) = (&sticks[done..done + 4], &mut totals[done..done + 4]);
+        group_walk::<4>(frame, group, hints, roots, boxes, sums);
+        done += 4;
+    }
+    if rest & 2 != 0 {
+        let (group, sums) = (&sticks[done..done + 2], &mut totals[done..done + 2]);
+        group_walk::<2>(frame, group, hints, roots, boxes, sums);
+        done += 2;
+    }
+    if rest & 1 != 0 {
+        group_walk::<1>(
+            frame,
+            &sticks[done..],
+            hints,
+            roots,
+            boxes,
+            &mut totals[done..],
+        );
+    }
+}
+
+/// `a` when it is greater, else `b`: the operand order of a vector
+/// `max`, so every tier picks the same value.
+#[inline(always)]
+fn max(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `a` when it is smaller, else `b`: the operand order of a vector
+/// `min`.
+#[inline(always)]
+fn min(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// [`PreparedStick::scaled_distance_sq`] at every lane of one cluster:
+/// identical f64 operations in identical order, branch-free. The clamp
+/// is `max` then `min` against the stick's `t_max`, whose 0 for a
+/// degenerate stick pins `t` to the scalar path's 0 whatever the
+/// division gave; it differs from `f64::clamp` only in the sign of a
+/// zero `t`, which the squares below erase.
+#[inline(always)]
+fn lane_distances(s: &PreparedStick, xs: &[f64; CLUSTER], ys: &[f64; CLUSTER]) -> [f64; CLUSTER] {
+    let mut out = [0.0; CLUSTER];
+    for l in 0..CLUSTER {
+        let qx = xs[l] - s.a.x;
+        let qy = ys[l] - s.a.y;
+        let t = min(max((qx * s.d.x + qy * s.d.y) / s.len_sq, 0.0), s.t_max);
+        let dx = xs[l] - (s.a.x + s.d.x * t);
+        let dy = ys[l] - (s.a.y + s.d.y * t);
+        out[l] = (dx * dx + dy * dy) * s.inv_t_sq;
+    }
+    out
+}
+
+/// The largest of a cluster's lane values, as a pairwise tree. The
+/// values are non-negative distances, so any order gives the same
+/// maximum.
+#[inline(always)]
+fn lane_max(v: &[f64; CLUSTER]) -> f64 {
+    let mut m = *v;
+    let mut width = CLUSTER / 2;
+    while width > 0 {
+        for l in 0..width {
+            m[l] = max(m[l], m[l + width]);
+        }
+        width /= 2;
+    }
+    m[0]
+}
+
+/// A genome's eight stick boxes transposed stick-per-lane, built once
+/// per group walk, so a cluster's seven box-to-box bound tests are one
+/// eight-lane pass.
+#[derive(Debug, Clone, Copy, Default)]
+struct StickBoxes {
+    min_x: [f64; 8],
+    max_x: [f64; 8],
+    min_y: [f64; 8],
+    max_y: [f64; 8],
+    inv_t_sq: [f64; 8],
+    /// The last bound test's verdicts, one byte per stick. They pass
+    /// through memory (the batch scratch) because eight byte stores
+    /// are a pattern the compiler turns into one vector compare and
+    /// store, where a bitmask OR-ed together in registers stays a
+    /// scalar reduction.
+    below: [u8; 8],
+}
+
+impl StickBoxes {
+    #[inline(always)]
+    fn new(sticks: &[PreparedStick; 8]) -> StickBoxes {
+        let mut boxes = StickBoxes::default();
+        for (i, s) in sticks.iter().enumerate() {
+            boxes.min_x[i] = s.min_x;
+            boxes.max_x[i] = s.max_x;
+            boxes.min_y[i] = s.min_y;
+            boxes.max_y[i] = s.max_y;
+            boxes.inv_t_sq[i] = s.inv_t_sq;
+        }
+        boxes
+    }
+
+    /// The sticks whose scaled squared distance to the cluster box `b`
+    /// — a lower bound of the stick's distance to every point of the
+    /// cluster — is below `threshold`, the sticks that could win in
+    /// some lane: byte `i` of the result (bit `8 * i`) is 1 for stick
+    /// `i`, else 0.
+    #[inline(always)]
+    fn survivors(&mut self, b: ClusterBounds, threshold: f64) -> u64 {
+        for i in 0..8 {
+            let dx = max(max(self.min_x[i] - b.max_x, b.min_x - self.max_x[i]), 0.0);
+            let dy = max(max(self.min_y[i] - b.max_y, b.min_y - self.max_y[i]), 0.0);
+            self.below[i] = u8::from((dx * dx + dy * dy) * self.inv_t_sq[i] < threshold);
+        }
+        u64::from_le_bytes(self.below)
+    }
+}
+
+/// Scores one cluster for one genome: the hint stick on every lane, one
+/// bound test of every stick's box against the cluster's box at the
+/// worst lane's value, every survivor on every lane with the
+/// strict-less update as a select, and the square roots into `roots`.
+/// Returns the winning stick at the last lane, the cluster's next hint.
 #[inline(always)]
 fn eq3_cluster(
     xs: &[f64; CLUSTER],
     ys: &[f64; CLUSTER],
     bounds: ClusterBounds,
     sticks: &[PreparedStick; 8],
+    boxes: &mut StickBoxes,
     hint: u32,
-    roots: &mut [f64; CLUSTER],
+    roots: &mut [f64],
 ) -> u32 {
-    let mut best = [0.0f64; CLUSTER];
-    let seed = &sticks[hint as usize];
-    let degenerate = seed.len_sq <= f64::EPSILON;
-    for l in 0..CLUSTER {
-        best[l] = lane_scaled_distance_sq(seed, degenerate, xs[l], ys[l]);
-    }
-    // The worst lane's best bounds the whole cluster: a stick whose
-    // box-to-box lower bound cannot beat it cannot win anywhere.
-    let mut upper = best[0];
-    for &b in &best[1..] {
-        if b > upper {
-            upper = b;
-        }
-    }
-    let threshold = upper * PRUNE_SLACK;
+    let mut best = lane_distances(&sticks[hint as usize], xs, ys);
+    let threshold = lane_max(&best) * PRUNE_SLACK;
+    let mut pending = boxes.survivors(bounds, threshold) & !(1 << (8 * hint));
     let mut last = hint;
-    for (i, s) in sticks.iter().enumerate() {
-        if i as u32 == hint || box_lower_bound_sq(s, bounds) >= threshold {
-            continue;
+    while pending != 0 {
+        let i = pending.trailing_zeros() / 8;
+        pending &= pending - 1;
+        let v = lane_distances(&sticks[i as usize], xs, ys);
+        if v[CLUSTER - 1] < best[CLUSTER - 1] {
+            last = i;
         }
-        let degenerate = s.len_sq <= f64::EPSILON;
-        let before = best[CLUSTER - 1];
         for l in 0..CLUSTER {
-            let v = lane_scaled_distance_sq(s, degenerate, xs[l], ys[l]);
-            if v < best[l] {
-                best[l] = v;
-            }
-        }
-        if best[CLUSTER - 1] < before {
-            last = i as u32;
+            best[l] = min(v[l], best[l]);
         }
     }
-    for l in 0..CLUSTER {
-        roots[l] = best[l].sqrt();
+    for (root, b) in roots.iter_mut().zip(best) {
+        *root = b.sqrt();
     }
     last
 }
 
-/// Sums each of `N` genomes' roots in raster order: `totals[g]` is the
-/// sum of `roots[g * stride + slot]` over `slots`, added in the scalar
-/// scan's order. The `N` chains are independent, so the core overlaps
-/// them.
+/// One group of `N` genomes' walk of the whole frame: clusters outer,
+/// genomes inner, all `N` starting each cluster from its shared hint
+/// (the last genome's winner becomes the next hint); then each genome's
+/// roots summed in raster order into `totals`. `roots` is genome-major,
+/// `walk_len` values per genome, indexed by walk slot.
 #[inline(always)]
-fn sum_in_raster_order<const N: usize>(
-    slots: &[u32],
-    roots: &[f64],
-    stride: usize,
+fn group_walk<const N: usize>(
+    frame: &PreparedFrame,
+    group: &[[PreparedStick; 8]],
+    hints: &mut [u32],
+    roots: &mut [f64],
+    boxes: &mut [StickBoxes; GROUP],
     totals: &mut [f64],
 ) {
-    let bufs: [&[f64]; N] = std::array::from_fn(|g| &roots[g * stride..(g + 1) * stride]);
+    for (b, sticks) in boxes.iter_mut().zip(group) {
+        *b = StickBoxes::new(sticks);
+    }
+    let stride = frame.walk_len();
+    let roots = &mut roots[..N * stride];
+    for (c, hint) in hints.iter_mut().enumerate() {
+        let (xs, ys) = frame.cluster(c);
+        let bounds = frame.cluster_bounds(c);
+        let mut next = *hint;
+        for g in 0..N {
+            let at = g * stride + c * CLUSTER;
+            next = eq3_cluster(
+                xs,
+                ys,
+                bounds,
+                &group[g],
+                &mut boxes[g],
+                *hint,
+                &mut roots[at..at + CLUSTER],
+            );
+        }
+        *hint = next;
+    }
+    // Equal-length views, so one bounds check covers a slot's `N`
+    // reads; the `N` add chains are independent, so the core overlaps
+    // them.
+    let mut bufs: [&[f64]; N] = [&[]; N];
+    for (g, buf) in bufs.iter_mut().enumerate() {
+        *buf = &roots[g * stride..][..stride];
+    }
     let mut acc = [0.0f64; N];
-    for &slot in slots {
+    for &slot in frame.slots() {
         let slot = slot as usize;
         for g in 0..N {
             acc[g] += bufs[g][slot];
         }
     }
     totals.copy_from_slice(&acc);
-}
-
-/// Genome `g`'s roots for cluster `c`, in a group's roots buffers.
-#[inline(always)]
-fn cluster_roots(roots: &mut [f64], stride: usize, g: usize, c: usize) -> &mut [f64; CLUSTER] {
-    let at = g * stride + c * CLUSTER;
-    (&mut roots[at..at + CLUSTER])
-        .try_into()
-        .expect("cluster width")
-}
-
-/// The portable tier's walk for a group of `N` genomes: clusters outer,
-/// genomes inner, all `N` starting each cluster from its shared hint;
-/// the last genome's winner becomes the next hint.
-fn group_scalar<const N: usize>(
-    frame: &PreparedFrame,
-    group: &[[PreparedStick; 8]],
-    hints: &mut [u32],
-    roots: &mut [f64],
-    totals: &mut [f64],
-) {
-    let stride = frame.walk_len();
-    for (c, hint) in hints.iter_mut().enumerate() {
-        let (xs, ys) = frame.cluster(c);
-        let bounds = frame.cluster_bounds(c);
-        let mut next = *hint;
-        for (g, sticks) in group.iter().enumerate() {
-            next = eq3_cluster(
-                xs,
-                ys,
-                bounds,
-                sticks,
-                *hint,
-                cluster_roots(roots, stride, g, c),
-            );
-        }
-        *hint = next;
-    }
-    sum_in_raster_order::<N>(frame.slots(), roots, stride, totals);
-}
-
-/// Hand-vectorised x86-64 tiers. The autovectoriser reliably refuses
-/// the generic cluster kernel (the conditional best update compiles to
-/// per-lane compare-and-branch), so the AVX-512 and AVX2 tiers spell
-/// the same computation out in intrinsics: identical IEEE-754
-/// operations per lane — sub/mul/add/div/min/max/sqrt are all
-/// correctly rounded, the compare-and-blend reproduces the scalar
-/// strict-less update, and no FMA contraction is introduced — so every
-/// lane matches the scalar kernel bitwise (asserted by tests that call
-/// every tier the host supports).
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::*;
-    use core::arch::x86_64::*;
-
-    /// A genome's stick AABBs transposed stick-per-lane, built once per
-    /// group walk: eight sticks fill one 8-wide register, so a
-    /// cluster's seven scalar (and branchy) box-to-box bound tests
-    /// collapse into a single vector evaluation.
-    pub(super) struct StickBounds {
-        min_x: [f64; 8],
-        max_x: [f64; 8],
-        min_y: [f64; 8],
-        max_y: [f64; 8],
-        inv_t_sq: [f64; 8],
-    }
-
-    impl StickBounds {
-        pub(super) fn new(sticks: &[PreparedStick; 8]) -> Self {
-            let mut b = StickBounds {
-                min_x: [0.0; 8],
-                max_x: [0.0; 8],
-                min_y: [0.0; 8],
-                max_y: [0.0; 8],
-                inv_t_sq: [0.0; 8],
-            };
-            for (i, s) in sticks.iter().enumerate() {
-                b.min_x[i] = s.min_x;
-                b.max_x[i] = s.max_x;
-                b.min_y[i] = s.min_y;
-                b.max_y[i] = s.max_y;
-                b.inv_t_sq[i] = s.inv_t_sq;
-            }
-            b
-        }
-    }
-
-    /// All eight sticks' box-to-box lower bounds against one cluster in
-    /// a single 8-lane pass, returned as the bitmask of sticks whose
-    /// bound beats `threshold` — the same per-stick arithmetic and the
-    /// same `>= threshold → skip` predicate as [`box_lower_bound_sq`],
-    /// evaluated for all sticks at once.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn stick_survivors_avx512(
-        sb: &StickBounds,
-        bounds: ClusterBounds,
-        threshold: f64,
-    ) -> u32 {
-        let zero = _mm512_setzero_pd();
-        let bdx = _mm512_max_pd(
-            _mm512_max_pd(
-                _mm512_sub_pd(
-                    _mm512_loadu_pd(sb.min_x.as_ptr()),
-                    _mm512_set1_pd(bounds.max_x),
-                ),
-                _mm512_sub_pd(
-                    _mm512_set1_pd(bounds.min_x),
-                    _mm512_loadu_pd(sb.max_x.as_ptr()),
-                ),
-            ),
-            zero,
-        );
-        let bdy = _mm512_max_pd(
-            _mm512_max_pd(
-                _mm512_sub_pd(
-                    _mm512_loadu_pd(sb.min_y.as_ptr()),
-                    _mm512_set1_pd(bounds.max_y),
-                ),
-                _mm512_sub_pd(
-                    _mm512_set1_pd(bounds.min_y),
-                    _mm512_loadu_pd(sb.max_y.as_ptr()),
-                ),
-            ),
-            zero,
-        );
-        let lb = _mm512_mul_pd(
-            _mm512_add_pd(_mm512_mul_pd(bdx, bdx), _mm512_mul_pd(bdy, bdy)),
-            _mm512_loadu_pd(sb.inv_t_sq.as_ptr()),
-        );
-        u32::from(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(
-            lb,
-            _mm512_set1_pd(threshold),
-        ))
-    }
-
-    /// [`stick_survivors_avx512`] on the AVX2 tier: two 4-wide halves,
-    /// survivor bits via `movmsk` on the compare result.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn stick_survivors_avx2(sb: &StickBounds, bounds: ClusterBounds, threshold: f64) -> u32 {
-        let mut mask = 0u32;
-        for half in 0..2 {
-            let o = half * 4;
-            let zero = _mm256_setzero_pd();
-            let bdx = _mm256_max_pd(
-                _mm256_max_pd(
-                    _mm256_sub_pd(
-                        _mm256_loadu_pd(sb.min_x.as_ptr().add(o)),
-                        _mm256_set1_pd(bounds.max_x),
-                    ),
-                    _mm256_sub_pd(
-                        _mm256_set1_pd(bounds.min_x),
-                        _mm256_loadu_pd(sb.max_x.as_ptr().add(o)),
-                    ),
-                ),
-                zero,
-            );
-            let bdy = _mm256_max_pd(
-                _mm256_max_pd(
-                    _mm256_sub_pd(
-                        _mm256_loadu_pd(sb.min_y.as_ptr().add(o)),
-                        _mm256_set1_pd(bounds.max_y),
-                    ),
-                    _mm256_sub_pd(
-                        _mm256_set1_pd(bounds.min_y),
-                        _mm256_loadu_pd(sb.max_y.as_ptr().add(o)),
-                    ),
-                ),
-                zero,
-            );
-            let lb = _mm256_mul_pd(
-                _mm256_add_pd(_mm256_mul_pd(bdx, bdx), _mm256_mul_pd(bdy, bdy)),
-                _mm256_loadu_pd(sb.inv_t_sq.as_ptr().add(o)),
-            );
-            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(lb, _mm256_set1_pd(threshold));
-            mask |= (_mm256_movemask_pd(lt) as u32) << o;
-        }
-        mask
-    }
-
-    /// [`lane_scaled_distance_sq`] over one 8-wide register.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn dist_avx512(s: &PreparedStick, px: __m512d, py: __m512d) -> __m512d {
-        let ax = _mm512_set1_pd(s.a.x);
-        let ay = _mm512_set1_pd(s.a.y);
-        let dx = _mm512_set1_pd(s.d.x);
-        let dy = _mm512_set1_pd(s.d.y);
-        let qx = _mm512_sub_pd(px, ax);
-        let qy = _mm512_sub_pd(py, ay);
-        let num = _mm512_add_pd(_mm512_mul_pd(qx, dx), _mm512_mul_pd(qy, dy));
-        let raw = _mm512_div_pd(num, _mm512_set1_pd(s.len_sq));
-        // `clamp(0.0, 1.0)` on a guaranteed-finite value: max then min.
-        let clamped = _mm512_min_pd(_mm512_max_pd(raw, _mm512_setzero_pd()), _mm512_set1_pd(1.0));
-        let t = if s.len_sq <= f64::EPSILON {
-            _mm512_setzero_pd()
-        } else {
-            clamped
-        };
-        let cx = _mm512_add_pd(ax, _mm512_mul_pd(dx, t));
-        let cy = _mm512_add_pd(ay, _mm512_mul_pd(dy, t));
-        let ddx = _mm512_sub_pd(px, cx);
-        let ddy = _mm512_sub_pd(py, cy);
-        let dsq = _mm512_add_pd(_mm512_mul_pd(ddx, ddx), _mm512_mul_pd(ddy, ddy));
-        _mm512_mul_pd(dsq, _mm512_set1_pd(s.inv_t_sq))
-    }
-
-    /// [`lane_scaled_distance_sq`] over one 4-wide register.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn dist_avx2(s: &PreparedStick, px: __m256d, py: __m256d) -> __m256d {
-        let ax = _mm256_set1_pd(s.a.x);
-        let ay = _mm256_set1_pd(s.a.y);
-        let dx = _mm256_set1_pd(s.d.x);
-        let dy = _mm256_set1_pd(s.d.y);
-        let qx = _mm256_sub_pd(px, ax);
-        let qy = _mm256_sub_pd(py, ay);
-        let num = _mm256_add_pd(_mm256_mul_pd(qx, dx), _mm256_mul_pd(qy, dy));
-        let raw = _mm256_div_pd(num, _mm256_set1_pd(s.len_sq));
-        let clamped = _mm256_min_pd(_mm256_max_pd(raw, _mm256_setzero_pd()), _mm256_set1_pd(1.0));
-        let t = if s.len_sq <= f64::EPSILON {
-            _mm256_setzero_pd()
-        } else {
-            clamped
-        };
-        let cx = _mm256_add_pd(ax, _mm256_mul_pd(dx, t));
-        let cy = _mm256_add_pd(ay, _mm256_mul_pd(dy, t));
-        let ddx = _mm256_sub_pd(px, cx);
-        let ddy = _mm256_sub_pd(py, cy);
-        let dsq = _mm256_add_pd(_mm256_mul_pd(ddx, ddx), _mm256_mul_pd(ddy, ddy));
-        _mm256_mul_pd(dsq, _mm256_set1_pd(s.inv_t_sq))
-    }
-
-    /// [`eq3_cluster`] on the AVX-512 tier: the 16 lanes as two 8-wide
-    /// halves, the strict-less update as mask + blend.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn eq3_cluster_avx512(
-        px: [__m512d; 2],
-        py: [__m512d; 2],
-        bounds: ClusterBounds,
-        sticks: &[PreparedStick; 8],
-        sb: &StickBounds,
-        hint: u32,
-        roots: &mut [f64; CLUSTER],
-    ) -> u32 {
-        let seed = &sticks[hint as usize];
-        let mut best = [
-            dist_avx512(seed, px[0], py[0]),
-            dist_avx512(seed, px[1], py[1]),
-        ];
-        // Distances are non-negative, so the lane maximum is
-        // order-independent and matches the portable reduction exactly.
-        let upper = _mm512_reduce_max_pd(_mm512_max_pd(best[0], best[1]));
-        let mut pending = stick_survivors_avx512(sb, bounds, upper * PRUNE_SLACK) & !(1u32 << hint);
-        let mut last = hint;
-        while pending != 0 {
-            let i = pending.trailing_zeros();
-            pending &= pending - 1;
-            let s = &sticks[i as usize];
-            let lo = dist_avx512(s, px[0], py[0]);
-            let hi = dist_avx512(s, px[1], py[1]);
-            let lo_smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(lo, best[0]);
-            let hi_smaller = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(hi, best[1]);
-            best[0] = _mm512_mask_blend_pd(lo_smaller, best[0], lo);
-            best[1] = _mm512_mask_blend_pd(hi_smaller, best[1], hi);
-            if hi_smaller & 0x80 != 0 {
-                last = i;
-            }
-        }
-        _mm512_storeu_pd(roots.as_mut_ptr(), _mm512_sqrt_pd(best[0]));
-        _mm512_storeu_pd(roots.as_mut_ptr().add(8), _mm512_sqrt_pd(best[1]));
-        last
-    }
-
-    /// [`group_scalar`] on the AVX-512 tier: each cluster's coordinates
-    /// are loaded once for the whole group.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn group_avx512<const N: usize>(
-        frame: &PreparedFrame,
-        group: &[[PreparedStick; 8]],
-        hints: &mut [u32],
-        roots: &mut [f64],
-        totals: &mut [f64],
-    ) {
-        let sbs: [StickBounds; N] = std::array::from_fn(|g| StickBounds::new(&group[g]));
-        let stride = frame.walk_len();
-        for (c, hint) in hints.iter_mut().enumerate() {
-            let (xs, ys) = frame.cluster(c);
-            let px = [
-                _mm512_loadu_pd(xs.as_ptr()),
-                _mm512_loadu_pd(xs.as_ptr().add(8)),
-            ];
-            let py = [
-                _mm512_loadu_pd(ys.as_ptr()),
-                _mm512_loadu_pd(ys.as_ptr().add(8)),
-            ];
-            let bounds = frame.cluster_bounds(c);
-            let mut next = *hint;
-            for (g, (sticks, sb)) in group.iter().zip(&sbs).enumerate() {
-                next = eq3_cluster_avx512(
-                    px,
-                    py,
-                    bounds,
-                    sticks,
-                    sb,
-                    *hint,
-                    cluster_roots(roots, stride, g, c),
-                );
-            }
-            *hint = next;
-        }
-        sum_in_raster_order::<N>(frame.slots(), roots, stride, totals);
-    }
-
-    /// [`eq3_cluster`] on the AVX2 tier: the 16 lanes as four 4-wide
-    /// quarters, the strict-less update as compare + blendv (the
-    /// compare's all-ones lanes drive the blend sign bit).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn eq3_cluster_avx2(
-        px: [__m256d; 4],
-        py: [__m256d; 4],
-        bounds: ClusterBounds,
-        sticks: &[PreparedStick; 8],
-        sb: &StickBounds,
-        hint: u32,
-        roots: &mut [f64; CLUSTER],
-    ) -> u32 {
-        let seed = &sticks[hint as usize];
-        let mut best = [
-            dist_avx2(seed, px[0], py[0]),
-            dist_avx2(seed, px[1], py[1]),
-            dist_avx2(seed, px[2], py[2]),
-            dist_avx2(seed, px[3], py[3]),
-        ];
-        let m = _mm256_max_pd(
-            _mm256_max_pd(best[0], best[1]),
-            _mm256_max_pd(best[2], best[3]),
-        );
-        let m2 = _mm_max_pd(_mm256_castpd256_pd128(m), _mm256_extractf128_pd::<1>(m));
-        let upper = _mm_cvtsd_f64(_mm_max_sd(m2, _mm_unpackhi_pd(m2, m2)));
-        let mut pending = stick_survivors_avx2(sb, bounds, upper * PRUNE_SLACK) & !(1u32 << hint);
-        let mut last = hint;
-        while pending != 0 {
-            let i = pending.trailing_zeros();
-            pending &= pending - 1;
-            let s = &sticks[i as usize];
-            let mut last_smaller = 0;
-            for q in 0..4 {
-                let v = dist_avx2(s, px[q], py[q]);
-                let smaller = _mm256_cmp_pd::<_CMP_LT_OQ>(v, best[q]);
-                best[q] = _mm256_blendv_pd(best[q], v, smaller);
-                last_smaller = _mm256_movemask_pd(smaller);
-            }
-            if last_smaller & 0b1000 != 0 {
-                last = i;
-            }
-        }
-        for (q, b) in best.into_iter().enumerate() {
-            _mm256_storeu_pd(roots.as_mut_ptr().add(4 * q), _mm256_sqrt_pd(b));
-        }
-        last
-    }
-
-    /// [`group_scalar`] on the AVX2 tier.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn group_avx2<const N: usize>(
-        frame: &PreparedFrame,
-        group: &[[PreparedStick; 8]],
-        hints: &mut [u32],
-        roots: &mut [f64],
-        totals: &mut [f64],
-    ) {
-        let sbs: [StickBounds; N] = std::array::from_fn(|g| StickBounds::new(&group[g]));
-        let stride = frame.walk_len();
-        for (c, hint) in hints.iter_mut().enumerate() {
-            let (xs, ys) = frame.cluster(c);
-            let mut px = [_mm256_setzero_pd(); 4];
-            let mut py = [_mm256_setzero_pd(); 4];
-            for q in 0..4 {
-                px[q] = _mm256_loadu_pd(xs.as_ptr().add(4 * q));
-                py[q] = _mm256_loadu_pd(ys.as_ptr().add(4 * q));
-            }
-            let bounds = frame.cluster_bounds(c);
-            let mut next = *hint;
-            for (g, (sticks, sb)) in group.iter().zip(&sbs).enumerate() {
-                next = eq3_cluster_avx2(
-                    px,
-                    py,
-                    bounds,
-                    sticks,
-                    sb,
-                    *hint,
-                    cluster_roots(roots, stride, g, c),
-                );
-            }
-            *hint = next;
-        }
-        sum_in_raster_order::<N>(frame.slots(), roots, stride, totals);
-    }
 }
 
 #[cfg(test)]
@@ -1530,8 +1244,7 @@ mod tests {
         }
     }
 
-    /// Sticks that survive a cluster's bound test: the portable form of
-    /// the SIMD tiers' survivor mask, seeded by the hint stick.
+    /// Sticks other than the hint that survive a cluster's bound test.
     fn first_test_survivors(
         frame: &PreparedFrame,
         c: usize,
@@ -1539,17 +1252,10 @@ mod tests {
         hint: usize,
     ) -> usize {
         let (xs, ys) = frame.cluster(c);
-        let seed = &sticks[hint];
-        let degenerate = seed.len_sq <= f64::EPSILON;
-        let upper = (0..CLUSTER)
-            .map(|l| lane_scaled_distance_sq(seed, degenerate, xs[l], ys[l]))
-            .fold(0.0, f64::max);
-        let b = frame.cluster_bounds(c);
-        sticks
-            .iter()
-            .enumerate()
-            .filter(|&(i, s)| i != hint && box_lower_bound_sq(s, b) < upper * PRUNE_SLACK)
-            .count()
+        let upper = lane_max(&lane_distances(&sticks[hint], xs, ys));
+        let survivors =
+            StickBoxes::new(sticks).survivors(frame.cluster_bounds(c), upper * PRUNE_SLACK);
+        (survivors & !(1 << (8 * hint))).count_ones() as usize
     }
 
     /// Forwards to a [`PoseProblem`] and records every genome the GA

@@ -37,6 +37,8 @@
 //! assert_eq!(result.frames.len(), 4);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod baseline;
 pub mod engine;
 pub mod error;

@@ -11,6 +11,7 @@
 //! The observation likelihood is `exp(−cost / temperature)`; diffusion
 //! reuses the tracker's per-stick Δρ ranges scaled by a factor.
 
+use crate::engine::rank_fitness;
 use crate::error::GaError;
 use crate::fitness::{BatchScratch, SilhouetteFitness};
 use crate::pose_problem::DEFAULT_DELTA_ANGLES;
@@ -193,7 +194,7 @@ impl ParticleFilter {
             let best_idx = costs
                 .iter()
                 .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
+                .min_by(|a, b| rank_fitness(*a.1, *b.1))
                 .map(|(i, _)| i)
                 .expect("non-empty cloud");
             best_prev = cloud[best_idx];

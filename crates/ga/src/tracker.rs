@@ -17,7 +17,7 @@
 //! [`TrackResult`] records which rung fired in
 //! [`TrackResult::recovery`].
 
-use crate::engine::{evolve, GaConfig, GaRun};
+use crate::engine::{evolve, rank_fitness, GaConfig, GaRun};
 use crate::error::GaError;
 use crate::fitness::{PruneStats, SilhouetteFitness};
 use crate::pose_problem::{InitStrategy, PoseProblem, PoseProblemConfig, DEFAULT_DELTA_ANGLES};
@@ -430,26 +430,9 @@ impl TemporalTracker {
         // One Eq. 3 evaluator serves every rung: the silhouette's point
         // list and distance field don't depend on the init strategy, so
         // escalation costs a config re-validation, not a re-preparation.
-        // A spare evaluator reclaimed from the previous frame is rebuilt
-        // in place (value-identical to a fresh build) so steady-state
-        // tracking re-uses the point planes and distance field storage.
-        let shared_fitness: Option<Arc<SilhouetteFitness>> =
-            if let Some(mut f) = scratch.fitness.take() {
-                match f.rebuild(sil, dims, camera, self.config.problem.stride) {
-                    Ok(()) => Some(Arc::new(f)),
-                    Err(GaError::EmptySilhouette) => {
-                        scratch.fitness = Some(f);
-                        None
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                match SilhouetteFitness::new(sil, dims, camera, self.config.problem.stride) {
-                    Ok(f) => Some(Arc::new(f)),
-                    Err(GaError::EmptySilhouette) => None,
-                    Err(e) => return Err(e),
-                }
-            };
+        let shared_fitness = scratch
+            .prepare_fitness(sil, dims, camera, self.config.problem.stride)?
+            .map(Arc::new);
 
         let mut spent_evaluations = 0usize;
         let mut rungs_attempted = 0usize;
@@ -504,7 +487,10 @@ impl TemporalTracker {
             scratch.problems[rung_index] = problem.reclaim();
             let candidate = Self::to_result(run, action, spent_evaluations);
             let acceptable = policy.accepts(candidate.fitness);
-            if best.as_ref().is_none_or(|b| candidate.fitness < b.fitness) {
+            if best
+                .as_ref()
+                .is_none_or(|b| rank_fitness(candidate.fitness, b.fitness).is_lt())
+            {
                 best = Some(candidate);
             }
             if acceptable {
@@ -620,6 +606,37 @@ pub struct TrackScratch {
     problems: Vec<crate::pose_problem::ProblemScratch>,
 }
 
+impl TrackScratch {
+    /// The Eq. 3 evaluator for `sil`: the spare one rebuilt in place
+    /// (value-identical to a fresh build, reusing its point planes and
+    /// distance field storage) when there is one, else a new one.
+    /// `Ok(None)` for a blank silhouette, which keeps the spare for the
+    /// next frame.
+    fn prepare_fitness(
+        &mut self,
+        sil: &Mask,
+        dims: &BodyDims,
+        camera: &Camera,
+        stride: usize,
+    ) -> Result<Option<SilhouetteFitness>, GaError> {
+        match self.fitness.take() {
+            Some(mut f) => match f.rebuild(sil, dims, camera, stride) {
+                Ok(()) => Ok(Some(f)),
+                Err(GaError::EmptySilhouette) => {
+                    self.fitness = Some(f);
+                    Ok(None)
+                }
+                Err(e) => Err(e),
+            },
+            None => match SilhouetteFitness::new(sil, dims, camera, stride) {
+                Ok(f) => Ok(Some(f)),
+                Err(GaError::EmptySilhouette) => Ok(None),
+                Err(e) => Err(e),
+            },
+        }
+    }
+}
+
 impl Clone for TrackScratch {
     fn clone(&self) -> Self {
         TrackScratch::default()
@@ -670,21 +687,9 @@ impl TrackerStream {
             // the record. A recycled evaluator (a stream re-seeded via
             // `with_scratch`) is rebuilt in place instead of allocated.
             let stride = self.tracker.config.problem.stride;
-            let evaluator = match self.scratch.fitness.take() {
-                Some(mut f) => match f.rebuild(sil, &self.dims, &self.camera, stride) {
-                    Ok(()) => Some(f),
-                    Err(GaError::EmptySilhouette) => {
-                        self.scratch.fitness = Some(f);
-                        None
-                    }
-                    Err(e) => return Err(e),
-                },
-                None => match SilhouetteFitness::new(sil, &self.dims, &self.camera, stride) {
-                    Ok(f) => Some(f),
-                    Err(GaError::EmptySilhouette) => None,
-                    Err(e) => return Err(e),
-                },
-            };
+            let evaluator = self
+                .scratch
+                .prepare_fitness(sil, &self.dims, &self.camera, stride)?;
             let (fitness, bb) = match evaluator {
                 Some(f) => {
                     let record = (

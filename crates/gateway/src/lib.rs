@@ -28,6 +28,8 @@
 //! every connection lives under read/write deadlines so slow or stalled
 //! peers are reaped, never accumulated.
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 
 use std::collections::BTreeMap;

@@ -518,7 +518,7 @@ fn expect_continue_is_answered_before_the_body_and_never_over_the_limit() {
 /// The number is written raw, so `1e999` arrives as infinity, which no
 /// serialised `OpenRequest` can carry. Returns `(field, json)`.
 fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
-    const CASES: [(&str, &str); 12] = [
+    const CASES: [(&str, &str); 14] = [
         ("camera.width", "0"),
         ("camera.pixels_per_meter", "0"),
         ("camera.ground_row", "1e999"),
@@ -528,6 +528,9 @@ fn broken_open_requests(good: &OpenRequest) -> Vec<(&'static str, String)> {
         ("dims.lengths[3]", "0"),
         ("dims.thicknesses[0]", "1e999"),
         ("first_pose.center.x", "1e999"),
+        // Finite, but the camera places the centre off the frame.
+        ("first_pose.center.x", "1e6"),
+        ("first_pose.center.y", "-40"),
         ("first_pose.angles[2]", "-1e999"),
         ("warmup", "1"),
         // One past `MAX_WARMUP`: a session buffers its warm-up window.

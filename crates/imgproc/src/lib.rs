@@ -44,6 +44,8 @@
 //! assert_eq!(mask.count(), 16);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitmask;
 pub mod components;
 pub mod distance;

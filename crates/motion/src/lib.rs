@@ -40,6 +40,8 @@
 //! assert!(dx > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod angle;
 pub mod error;
 pub mod model;

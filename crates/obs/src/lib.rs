@@ -26,6 +26,8 @@
 //! thread counts or host details appear in the trace — see DESIGN.md
 //! §12.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

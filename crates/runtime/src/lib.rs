@@ -13,6 +13,8 @@
 //! output to a serial run, so any value here is safe for
 //! reproducibility.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;

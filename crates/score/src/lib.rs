@@ -25,6 +25,8 @@
 //! assert!(!card.result(slj_score::rules::RuleId::R1).satisfied());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod card;
 pub mod rules;
 pub mod standards;

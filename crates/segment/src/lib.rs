@@ -43,6 +43,8 @@
 //! assert!(iou > 0.5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod background;
 pub mod cleanup;
 pub mod error;

@@ -44,6 +44,8 @@
 //! full manager, asserting byte-identical healthy outputs at every
 //! parallelism setting.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod events;
 pub mod manager;

@@ -41,6 +41,8 @@
 //! assert!(report.score.score() >= 6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyzer;
 pub mod error;
 pub mod measure;

@@ -44,6 +44,8 @@
 //! assert!(jump.silhouettes.iter().all(|s| s.count() > 200));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod background;
 pub mod camera;
 pub mod faults;
