@@ -15,6 +15,7 @@
 
 use slj::prelude::*;
 use slj_bench::{banner, f3, print_table};
+use slj_ga::tracker::RecoveryAction;
 use slj_segment::background::{BackgroundConfig, UpdateMode};
 use slj_segment::ghosts::GhostConfig;
 use slj_segment::metrics::evaluate_clip;
@@ -74,7 +75,11 @@ fn main() {
             let report = JumpAnalyzer::new(analyzer_cfg)
                 .analyze(&jump.video, &scene.camera, jump.poses.poses()[0])
                 .expect("analysis");
-            carried += report.tracking.iter().filter(|t| t.carried_over).count();
+            carried += report
+                .tracking
+                .iter()
+                .filter(|t| t.recovery == RecoveryAction::CarriedOver)
+                .count();
             score += report.score.score();
         }
         let n = SEEDS.len() as f64;

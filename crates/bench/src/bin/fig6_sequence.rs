@@ -9,6 +9,7 @@
 
 use slj::prelude::*;
 use slj_bench::{banner, f1, f3, figures_dir, print_table};
+use slj_ga::tracker::RecoveryAction;
 use slj_imgproc::pixel::Rgb;
 
 fn main() {
@@ -39,7 +40,7 @@ fn main() {
             f1(err.mean_angle_error()),
             f1(err.max_angle_error()),
             f3(err.center_distance),
-            if report.tracking[k].carried_over {
+            if report.tracking[k].recovery == RecoveryAction::CarriedOver {
                 "carried".into()
             } else {
                 format!("{}", report.tracking[k].generations_run)

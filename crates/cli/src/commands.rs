@@ -39,6 +39,40 @@ fn threads(flags: &Flags) -> Result<Parallelism, CliError> {
     }
 }
 
+/// Loads `--clip` and builds the open request `slj serve` and
+/// `slj submit` analyse it under: its calibration, body and first pose
+/// from `truth.json`, the preset (`--fast`), the warm-up window
+/// (`--warmup`) and, with `--best-effort`, the degraded-frame budget
+/// (`--max-degraded`, a quarter of the clip by default). A
+/// `--max-degraded` without `--best-effort` is refused before the clip
+/// is read.
+fn open_request(flags: &Flags) -> Result<(slj_daemon::OpenRequest, Video), CliError> {
+    if flags.value("max-degraded").is_some() && !flags.switch("best-effort") {
+        return Err(CliError::Usage(
+            "--max-degraded only makes sense with --best-effort".into(),
+        ));
+    }
+    let clip_dir = flags.required("clip")?;
+    let video = load_video(clip_dir)?;
+    let truth = ClipTruth::load(clip_dir)?;
+    let max_degraded = if flags.switch("best-effort") {
+        Some(flags.get_or("max-degraded", video.len().div_ceil(4))?)
+    } else {
+        None
+    };
+    let request = slj_daemon::OpenRequest {
+        camera: truth.camera,
+        dims: truth.dims,
+        first_pose: truth.first_pose,
+        fps: video.fps(),
+        warmup: flags.get_or("warmup", slj::DEFAULT_WARMUP_FRAMES)?,
+        fast: flags.switch("fast"),
+        max_degraded,
+        want_trace: flags.value("trace").is_some(),
+    };
+    Ok((request, video))
+}
+
 /// `slj synth` — render a synthetic clip with ground truth.
 pub fn synth<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     let flags = Flags::parse(
@@ -388,7 +422,6 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         ],
         &["fast", "best-effort"],
     )?;
-    let clip_dir = flags.required("clip")?.to_owned();
     let sessions: usize = flags.get_or("sessions", 4)?;
     if sessions == 0 {
         return Err(CliError::Usage("--sessions must be at least 1".into()));
@@ -405,33 +438,12 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     }
     let frame_deadline: u64 = flags.get_or("frame-deadline-ms", 0)?;
     let parallelism = threads(&flags)?;
-    if flags.value("max-degraded").is_some() && !flags.switch("best-effort") {
-        return Err(CliError::Usage(
-            "--max-degraded only makes sense with --best-effort".into(),
-        ));
-    }
     let fault_cfg = flags
         .value("inject-faults")
         .map(FaultConfig::parse)
         .transpose()
         .map_err(|e| CliError::Usage(format!("--inject-faults: {e}")))?;
-
-    let video = load_video(&clip_dir)?;
-    let truth = ClipTruth::load(&clip_dir)?;
-    let warmup: usize = flags.get_or("warmup", slj::DEFAULT_WARMUP_FRAMES)?;
-    let mut config = if flags.switch("fast") {
-        AnalyzerConfig::fast()
-    } else {
-        AnalyzerConfig::default()
-    };
-    config.dims = truth.dims.clone();
-    if flags.switch("best-effort") {
-        let max_degraded: usize = flags.get_or("max-degraded", video.len().div_ceil(4))?;
-        config.robustness = RobustnessPolicy::BestEffort {
-            max_degraded_frames: max_degraded,
-        };
-    }
-    let config = config.into_streaming(warmup);
+    let (request, video) = open_request(&flags)?;
 
     // One clip per session: the original, then seeded perturbations.
     let mut clips = Vec::with_capacity(sessions);
@@ -463,13 +475,10 @@ pub fn serve<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         parallelism,
         ..slj_serve::ServeConfig::default()
     });
-    for clip in &clips {
-        manager.open(slj_serve::SessionConfig {
-            analyzer: config.clone(),
-            camera: truth.camera,
-            first_pose: truth.first_pose,
-            fps: clip.fps(),
-        })?;
+    // Fault injection keeps the frame rate, so one request fits every
+    // clip.
+    for _ in 0..sessions {
+        manager.open(request.to_session_config())?;
     }
 
     // Interleaved producers: one frame per session per tick. A shed
@@ -723,30 +732,7 @@ pub fn submit<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         writeln!(out, "daemon draining ({in_flight} sessions in flight)")?;
         return Ok(());
     }
-    let clip_dir = flags.required("clip")?.to_owned();
-    if flags.value("max-degraded").is_some() && !flags.switch("best-effort") {
-        return Err(CliError::Usage(
-            "--max-degraded only makes sense with --best-effort".into(),
-        ));
-    }
-    let video = load_video(&clip_dir)?;
-    let truth = ClipTruth::load(&clip_dir)?;
-    let warmup: usize = flags.get_or("warmup", slj::DEFAULT_WARMUP_FRAMES)?;
-    let max_degraded = if flags.switch("best-effort") {
-        Some(flags.get_or("max-degraded", video.len().div_ceil(4))?)
-    } else {
-        None
-    };
-    let request = slj_daemon::OpenRequest {
-        camera: truth.camera,
-        dims: truth.dims.clone(),
-        first_pose: truth.first_pose,
-        fps: video.fps(),
-        warmup,
-        fast: flags.switch("fast"),
-        max_degraded,
-        want_trace: flags.value("trace").is_some(),
-    };
+    let (request, video) = open_request(&flags)?;
 
     let mut client = slj_daemon::Client::connect(&addr, slj_daemon::ClientOptions::default())?;
     writeln!(out, "connected: {} at {addr}", client.proto())?;

@@ -222,11 +222,6 @@ pub struct TrackResult {
     pub generations_to_near_best: usize,
     /// Fitness evaluations spent on this frame.
     pub evaluations: usize,
-    /// True when the silhouette was unusable (blank) and the previous
-    /// pose was carried over unchanged. Equivalent to
-    /// `recovery == RecoveryAction::CarriedOver`; kept for callers that
-    /// predate the recovery ladder.
-    pub carried_over: bool,
     /// Which rung of the recovery ladder produced this estimate.
     pub recovery: RecoveryAction,
     /// Best fitness after each GA generation for this frame (index 0 =
@@ -326,7 +321,7 @@ impl TemporalTracker {
     ///
     /// Frames whose silhouette is unusable — blank, or so inconsistent
     /// with the seed pose that no valid chromosome exists — carry the
-    /// previous estimate forward and are flagged `carried_over`.
+    /// previous estimate forward, flagged [`RecoveryAction::CarriedOver`].
     ///
     /// Implemented as a loop over [`TrackerStream::push`], so batch and
     /// incremental tracking are identical by construction.
@@ -537,11 +532,11 @@ impl TemporalTracker {
                 } else {
                     None
                 };
-                let (pose, recovery, carried_over) = match interpolated {
-                    Some(p) => (p, RecoveryAction::Interpolated, false),
+                let (pose, recovery) = match interpolated {
+                    Some(p) => (p, RecoveryAction::Interpolated),
                     // Rung of last resort: carry the previous estimate
                     // verbatim, flagged.
-                    None => (previous, RecoveryAction::CarriedOver, true),
+                    None => (previous, RecoveryAction::CarriedOver),
                 };
                 TrackResult {
                     pose,
@@ -550,7 +545,6 @@ impl TemporalTracker {
                     generations_run: 0,
                     generations_to_near_best: 0,
                     evaluations: spent_evaluations,
-                    carried_over,
                     recovery,
                     history: Vec::new(),
                     rungs_attempted,
@@ -580,7 +574,6 @@ impl TemporalTracker {
             generations_run: run.generations_run,
             generations_to_near_best: run.generations_to_near_best(0.10),
             evaluations,
-            carried_over: false,
             recovery: action,
             history: run.history,
             rungs_attempted: 0,
@@ -710,7 +703,6 @@ impl TrackerStream {
                 generations_run: 0,
                 generations_to_near_best: 0,
                 evaluations: 1,
-                carried_over: false,
                 recovery: RecoveryAction::None,
                 history: Vec::new(),
                 rungs_attempted: 0,
@@ -730,7 +722,7 @@ impl TrackerStream {
             )?
         };
         self.next_frame = k + 1;
-        if !result.carried_over {
+        if result.recovery != RecoveryAction::CarriedOver {
             // Interpolated poses advance the anchors too: each
             // consecutive unusable frame then continues the trajectory
             // with a further-damped step (λ, λ², …) instead of
@@ -804,7 +796,7 @@ mod tests {
                 "frame {k}: centre off by {} m",
                 err.center_distance
             );
-            assert!(!est.carried_over);
+            assert_ne!(est.recovery, RecoveryAction::CarriedOver);
             assert!(est.fitness < 1.2, "frame {k}: fitness {}", est.fitness);
         }
     }
@@ -830,7 +822,6 @@ mod tests {
         let run = tracker.track(&sils, truth[0], &dims, &camera).unwrap();
         let f = &run.frames[10];
         assert_eq!(f.recovery, RecoveryAction::Interpolated);
-        assert!(!f.carried_over);
         assert!(f.fitness.is_infinite());
         assert!(!f.ga_estimated());
         // The centre is the damped constant-velocity continuation of
@@ -861,11 +852,10 @@ mod tests {
             ..TrackerConfig::fast()
         });
         let run = tracker.track(&sils, truth[0], &dims, &camera).unwrap();
-        assert!(run.frames[2].carried_over);
         assert_eq!(run.frames[2].recovery, RecoveryAction::CarriedOver);
         assert!(run.frames[2].fitness.is_infinite());
         assert_eq!(run.frames[2].pose.to_genes(), run.frames[1].pose.to_genes());
-        assert!(!run.frames[3].carried_over);
+        assert_ne!(run.frames[3].recovery, RecoveryAction::CarriedOver);
     }
 
     #[test]
@@ -878,7 +868,6 @@ mod tests {
         let tracker = TemporalTracker::new(TrackerConfig::fast());
         let run = tracker.track(&sils, truth[0], &dims, &camera).unwrap();
         assert_eq!(run.frames[1].recovery, RecoveryAction::CarriedOver);
-        assert!(run.frames[1].carried_over);
         assert_eq!(run.frames[1].pose.to_genes(), run.frames[0].pose.to_genes());
     }
 
@@ -907,7 +896,7 @@ mod tests {
             run.frames[10].pose.to_genes(),
             "the second gap frame must keep moving"
         );
-        assert!(!run.frames[12].carried_over);
+        assert_ne!(run.frames[12].recovery, RecoveryAction::CarriedOver);
     }
 
     #[test]
@@ -984,7 +973,6 @@ mod tests {
         let run = tracker.track(&sils, truth[0], &dims, &camera).unwrap();
         for k in [2, 3] {
             let f = &run.frames[k];
-            assert!(f.carried_over);
             assert_eq!(f.recovery, RecoveryAction::CarriedOver);
             assert!(f.fitness.is_infinite());
             assert_eq!(f.evaluations, 0, "blank silhouette costs nothing");
@@ -993,7 +981,7 @@ mod tests {
             assert_eq!(f.pose.to_genes(), run.frames[1].pose.to_genes());
         }
         // Frame 4 resumes from frame 1's estimate and tracks again.
-        assert!(!run.frames[4].carried_over);
+        assert_ne!(run.frames[4].recovery, RecoveryAction::CarriedOver);
         // Carried frames are excluded from the convergence means.
         assert!(run.mean_generations_to_near_best().is_finite());
     }
@@ -1039,7 +1027,7 @@ mod tests {
             f.recovery,
             f.fitness
         );
-        assert!(!f.carried_over);
+        assert_ne!(f.recovery, RecoveryAction::CarriedOver);
         assert!(f.fitness < 3.0, "recovered fit is poor: {}", f.fitness);
         let err = f.pose.error_against(&moved[3]);
         assert!(
@@ -1058,7 +1046,7 @@ mod tests {
         let run = rigid.track(&sils, truth[0], &cfg.dims, &camera).unwrap();
         let f = &run.frames[3];
         assert!(
-            f.carried_over || f.fitness > 3.0,
+            f.recovery == RecoveryAction::CarriedOver || f.fitness > 3.0,
             "policy none() unexpectedly matched the rotated body (fitness {})",
             f.fitness
         );

@@ -106,27 +106,25 @@ impl EstimatedBackground {
     }
 }
 
+/// Pixels per tile of the median pass.
+const TILE: usize = 64;
+
+/// The tile buffer's stand-in for an unstable pair's sample. The median
+/// rounds count samples strictly below a candidate, and no candidate
+/// exceeds 255, so a stand-in is never counted.
+const UNSTABLE: u8 = 255;
+
 /// Reusable scratch for [`BackgroundEstimator::estimate_into`]: the
-/// per-pixel observation cursor and the flat per-channel observation
-/// planes the median mode packs stable samples into. Warmed buffers
-/// make repeat estimation allocation-free (`tests/zero_alloc.rs`).
+/// median mode's tile buffer, one byte per channel, frame pair and pixel
+/// of one 64-pixel tile (`3 × pairs × 64` bytes, 3.6 KB for a 20-frame
+/// clip whatever its resolution). A warmed buffer makes repeat
+/// estimation allocation-free (`tests/zero_alloc.rs`).
 #[derive(Debug, Clone, Default)]
 pub struct BackgroundScratch {
-    /// Pass 1: per-pixel stable-pair count; then exclusive prefix sums
-    /// (each pixel's start offset into the planes); after pass 2, each
-    /// pixel's end offset.
-    cursor: Vec<u32>,
-    /// Red-channel observations, packed per pixel in pair order.
-    r: Vec<u8>,
-    /// Green-channel observations.
-    g: Vec<u8>,
-    /// Blue-channel observations.
-    b: Vec<u8>,
-    /// Per-pair stability verdicts from pass 1, one bit per pixel
-    /// (`pairs × ceil(n/64)` words): pass 2 replays these instead of
-    /// re-evaluating the L1 distance of every pixel pair, and all-zero
-    /// words (64 unstable pixels) are skipped wholesale.
-    stable: Vec<u64>,
+    /// One entry per frame pair: the r, g and b samples of the tile's
+    /// pixels, each a stable pair's first-frame value, or 255 where the
+    /// pair is unstable.
+    samples: Vec<[[u8; TILE]; 3]>,
 }
 
 /// Estimates the static background of a fixed-camera clip.
@@ -167,20 +165,20 @@ impl BackgroundEstimator {
     /// call performs no heap allocation. Results are byte-identical to
     /// `estimate`.
     ///
-    /// Both modes run as flat row-contiguous slice passes (the
-    /// per-pixel `get`/`set` formulation cost ~80% of the whole
-    /// segmentation stage): `LastStable` is a single fused
-    /// compare-and-overwrite sweep per frame pair; `MedianOfStable`
-    /// counts stable pairs per pixel, prefix-sums the counts into
-    /// offsets, packs each channel's stable observations into one flat
-    /// plane (replacing the per-pixel `Vec<Rgb>` allocation storm), and
-    /// takes each pixel's channel medians by in-place selection on its
-    /// plane slices — the median of a multiset does not depend on
-    /// observation order, so the result matches the old per-pixel
-    /// collection bit for bit. Pass 1's stability verdicts are kept in
-    /// a bitmask so pass 2 replays them (skipping all-unstable words)
-    /// instead of re-evaluating distances, and a clip where nothing
-    /// stabilises skips the plane passes entirely.
+    /// `LastStable` is one fused compare-and-overwrite sweep over the
+    /// flat pixel slices per frame pair. `MedianOfStable` makes one pass
+    /// per 64-pixel tile. It counts each pixel's stable pairs (its
+    /// support) while storing every pair's sample per channel in the
+    /// tile buffer, 255 where the pair is unstable. Each channel's upper
+    /// median, the `support / 2`-th smallest stable sample, is then
+    /// found bit by bit from bit 7: the candidate `m | 1 << bit` is kept
+    /// while at most `support / 2` samples lie strictly below it. That
+    /// is the largest value with that property, which is exactly the
+    /// upper median, and an unstable pair's 255 is never below a
+    /// candidate, so it never counts. The counts run in bytes flushed
+    /// into `u32`s every 255 pairs, so they stay exact for any clip
+    /// length. A pixel with no stable pair keeps frame 0's value, and
+    /// its support is 0; support is capped at `u16::MAX`.
     ///
     /// # Errors
     ///
@@ -244,89 +242,45 @@ impl BackgroundEstimator {
                 }
             }
             UpdateMode::MedianOfStable => {
-                // Pass 1: count stable pairs per pixel, recording every
-                // verdict in a per-pair bitmask so pass 2 never
-                // re-evaluates an L1 distance.
-                let pairs = frames.len() - 1;
-                let words_per_pair = n.div_ceil(64);
-                scratch.cursor.clear();
-                scratch.cursor.resize(n, 0);
-                scratch.stable.clear();
-                scratch.stable.resize(pairs * words_per_pair, 0);
-                for k in 0..pairs {
-                    let a = frames[k].as_slice();
-                    let b = frames[k + 1].as_slice();
-                    let bits = &mut scratch.stable[k * words_per_pair..(k + 1) * words_per_pair];
-                    for (i, ((pa, pb), count)) in
-                        a.iter().zip(b).zip(scratch.cursor.iter_mut()).enumerate()
-                    {
-                        let stable = (pa.l1_distance(*pb) <= threshold) as u32;
-                        *count += stable;
-                        bits[i / 64] |= u64::from(stable) << (i % 64);
-                    }
-                }
-                // Exclusive prefix sum: counts become start offsets.
-                let mut acc = 0u32;
-                for c in scratch.cursor.iter_mut() {
-                    let start = acc;
-                    acc += *c;
-                    *c = start;
-                }
-                let total = acc as usize;
-                if total == 0 {
-                    // Nothing ever stabilised: every pixel falls back to
-                    // the first frame; the plane passes have no work.
-                    out.image
-                        .as_mut_slice()
-                        .copy_from_slice(frames[0].as_slice());
-                    return Ok(());
-                }
-                scratch.r.clear();
-                scratch.r.resize(total, 0);
-                scratch.g.clear();
-                scratch.g.resize(total, 0);
-                scratch.b.clear();
-                scratch.b.resize(total, 0);
-                // Pass 2: replay the pass-1 verdicts, packing each
-                // channel's stable observations into its flat plane in
-                // pair order; cursors land on each pixel's end offset.
-                // All-zero words skip 64 pixels at a time.
-                for (k, frame) in frames.iter().take(pairs).enumerate() {
-                    let a = frame.as_slice();
-                    let words = &scratch.stable[k * words_per_pair..(k + 1) * words_per_pair];
-                    for (wi, &word) in words.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let i = wi * 64 + bits.trailing_zeros() as usize;
-                            bits &= bits - 1;
-                            let o = scratch.cursor[i] as usize;
-                            let p = a[i];
-                            scratch.r[o] = p.r;
-                            scratch.g[o] = p.g;
-                            scratch.b[o] = p.b;
-                            scratch.cursor[i] = o as u32 + 1;
-                        }
-                    }
-                }
-                // Median pass: sort each pixel's slice of every plane in
-                // place and take the upper median.
+                scratch.samples.clear();
+                scratch
+                    .samples
+                    .resize(frames.len() - 1, [[UNSTABLE; TILE]; 3]);
                 let image = out.image.as_mut_slice();
                 let support = out.support.as_mut_slice();
-                let first = frames[0].as_slice();
-                let mut start = 0usize;
-                for i in 0..n {
-                    let end = scratch.cursor[i] as usize;
-                    if end == start {
-                        image[i] = first[i];
-                    } else {
-                        image[i] = Rgb::new(
-                            plane_median(&mut scratch.r[start..end]),
-                            plane_median(&mut scratch.g[start..end]),
-                            plane_median(&mut scratch.b[start..end]),
-                        );
-                        support[i] = (end - start).min(u16::MAX as usize) as u16;
+                for start in (0..n).step_by(TILE) {
+                    let tile = start..n.min(start + TILE);
+                    // Each pixel's support, and every pair's sample per
+                    // channel: the first frame's value, or the stand-in.
+                    let mut count = [0u32; TILE];
+                    for (pair, [r, g, b]) in frames.windows(2).zip(&mut scratch.samples) {
+                        let a = &pair[0].as_slice()[tile.clone()];
+                        let next = &pair[1].as_slice()[tile.clone()];
+                        for (j, (pa, pb)) in a.iter().zip(next).enumerate() {
+                            let stable = pa.l1_distance(*pb) <= threshold;
+                            count[j] += u32::from(stable);
+                            let keep = |v: u8| if stable { v } else { UNSTABLE };
+                            r[j] = keep(pa.r);
+                            g[j] = keep(pa.g);
+                            b[j] = keep(pa.b);
+                        }
                     }
-                    start = end;
+                    let half = count.map(|c| c / 2);
+                    let [r, g, b] = [0, 1, 2].map(|c| tile_median(&scratch.samples, c, &half));
+                    let first = &frames[0].as_slice()[tile.clone()];
+                    for (j, ((bg, sup), &fallback)) in image[tile.clone()]
+                        .iter_mut()
+                        .zip(&mut support[tile])
+                        .zip(first)
+                        .enumerate()
+                    {
+                        *bg = if count[j] == 0 {
+                            fallback
+                        } else {
+                            Rgb::new(r[j], g[j], b[j])
+                        };
+                        *sup = count[j].min(u32::from(u16::MAX)) as u16;
+                    }
                 }
             }
         }
@@ -334,14 +288,31 @@ impl BackgroundEstimator {
     }
 }
 
-/// Upper median of a non-empty channel slice via in-place selection.
-/// The `len / 2`-th order statistic of a multiset is a unique value, so
-/// this matches the historical `sort_unstable` + `v[len / 2]` rule bit
-/// for bit while doing O(len) work instead of O(len log len).
-fn plane_median(v: &mut [u8]) -> u8 {
-    debug_assert!(!v.is_empty());
-    let mid = v.len() / 2;
-    *v.select_nth_unstable(mid).1
+/// Every lane's upper median of one channel of the tile buffer: the
+/// largest `m` with at most `half[j]` samples strictly below it, set bit
+/// by bit from bit 7. The counts run in bytes over blocks of 255 pairs,
+/// so they cannot wrap, and are flushed into `u32`s after each block.
+fn tile_median(samples: &[[[u8; TILE]; 3]], channel: usize, half: &[u32; TILE]) -> [u8; TILE] {
+    let mut median = [0u8; TILE];
+    for bit in (0..8).rev() {
+        let candidate = median.map(|m| m | 1 << bit);
+        let mut below = [0u32; TILE];
+        for block in samples.chunks(255) {
+            let mut counts = [0u8; TILE];
+            for pair in block {
+                for ((c, &s), &cand) in counts.iter_mut().zip(&pair[channel]).zip(&candidate) {
+                    *c += u8::from(s < cand);
+                }
+            }
+            for (b, c) in below.iter_mut().zip(counts) {
+                *b += u32::from(c);
+            }
+        }
+        for ((m, b), h) in median.iter_mut().zip(below).zip(half) {
+            *m |= u8::from(b <= *h) << bit;
+        }
+    }
+    median
 }
 
 #[cfg(test)]
@@ -539,12 +510,22 @@ mod tests {
             Rgb::new(20, 100, 6),
             Rgb::new(30, 0, 7),
         ];
-        let m = Rgb::new(
-            plane_median(&mut obs.map(|p| p.r)),
-            plane_median(&mut obs.map(|p| p.g)),
-            plane_median(&mut obs.map(|p| p.b)),
-        );
-        assert_eq!(m, Rgb::new(20, 100, 6));
+        // A one-pixel clip whose every pair is stable: each frame but the
+        // last is one observation.
+        let frames: Vec<Frame> = obs
+            .iter()
+            .chain(&obs[2..])
+            .map(|&p| ImageBuffer::filled(1, 1, p))
+            .collect();
+        let bg = BackgroundEstimator::new(BackgroundConfig {
+            diff_threshold: 3 * 255,
+            mode: UpdateMode::MedianOfStable,
+            warmup: None,
+        })
+        .estimate(&Video::new(frames, 10.0))
+        .unwrap();
+        assert_eq!(bg.support.get(0, 0), 3);
+        assert_eq!(bg.image.get(0, 0), Rgb::new(20, 100, 6));
     }
 
     #[test]
@@ -576,9 +557,9 @@ mod tests {
 
     #[test]
     fn median_path_matches_naive_per_pixel_reference() {
-        // The packed-plane + bitmask-replay + selection median must equal
-        // the obvious formulation: per pixel, collect every stable
-        // observation into a Vec, sort, take v[len/2].
+        // The tile pass's bit-serial median must equal the obvious
+        // formulation: per pixel, collect every stable observation into
+        // a Vec, sort, take v[len/2].
         let mut state = 0x5EED_u32;
         let mut rng = move || {
             state = state.wrapping_mul(747_796_405).wrapping_add(2_891_336_453);
@@ -625,10 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn nothing_stable_skips_plane_passes_and_falls_back_to_first_frame() {
-        // Every consecutive pair differs by more than the threshold:
-        // total == 0 takes the early-out, which must still equal the
-        // naive fallback (first frame everywhere, zero support).
+    fn nothing_stable_falls_back_to_first_frame() {
+        // Every consecutive pair differs by more than the threshold: the
+        // naive fallback holds everywhere (first frame, zero support).
         let frames: Vec<Frame> = (0..5)
             .map(|k| ImageBuffer::filled(6, 4, Rgb::splat(40 * k as u8)))
             .collect();

@@ -213,7 +213,6 @@ mod tests {
             generations_run: 0,
             generations_to_near_best: 0,
             evaluations: 0,
-            carried_over: false,
             recovery: RecoveryAction::None,
             history: Vec::new(),
             rungs_attempted: 0,

@@ -8,6 +8,7 @@
 
 use crate::analyzer::{AnalysisReport, FrameHealth};
 use crate::measure::measure_jump;
+use slj_ga::tracker::RecoveryAction;
 use slj_motion::{classify_phases, BodyDims, JumpPhase};
 use slj_score::RuleTrace;
 use std::fmt::Write as _;
@@ -195,7 +196,11 @@ pub fn markdown_report(report: &AnalysisReport, dims: &BodyDims) -> String {
         md,
         "* frames analysed: {} ({} carried over)",
         report.tracking.len(),
-        report.tracking.iter().filter(|t| t.carried_over).count()
+        report
+            .tracking
+            .iter()
+            .filter(|t| t.recovery == RecoveryAction::CarriedOver)
+            .count()
     );
     if suspects.is_empty() {
         mdln!(md, "* no suspect frames (fitness uniform across the clip)");
@@ -241,7 +246,11 @@ pub fn suspect_frames(report: &AnalysisReport) -> Vec<usize> {
         .tracking
         .iter()
         .enumerate()
-        .filter(|(_, t)| t.carried_over || !t.fitness.is_finite() || t.fitness >= 1.5 * median)
+        .filter(|(_, t)| {
+            t.recovery == RecoveryAction::CarriedOver
+                || !t.fitness.is_finite()
+                || t.fitness >= 1.5 * median
+        })
         .map(|(k, _)| k)
         .collect()
 }
@@ -303,7 +312,7 @@ mod tests {
         let (mut report, _) = analysed();
         for t in report.tracking.iter_mut() {
             t.fitness = 0.5;
-            t.carried_over = false;
+            t.recovery = RecoveryAction::None;
         }
         assert!(suspect_frames(&report).is_empty());
     }

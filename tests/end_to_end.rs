@@ -7,6 +7,7 @@
 //! the bench binaries run the full-scale equivalents.
 
 use slj::prelude::*;
+use slj_ga::tracker::RecoveryAction;
 
 fn compact_scene(clean: bool) -> SceneConfig {
     let base = if clean {
@@ -134,7 +135,7 @@ fn paper_configuration_runs_end_to_end() {
     let tracked = paper_report
         .tracking
         .iter()
-        .filter(|t| !t.carried_over)
+        .filter(|t| t.recovery != RecoveryAction::CarriedOver)
         .count();
     assert!(tracked >= 12, "paper mode tracked only {tracked}/20 frames");
 

@@ -3,6 +3,7 @@
 //! unusual athletes, degraded sensors, longer clips.
 
 use slj::prelude::*;
+use slj_ga::tracker::RecoveryAction;
 use slj_video::scene::NoiseConfig;
 
 fn compact_scene() -> SceneConfig {
@@ -30,7 +31,11 @@ fn heavy_sensor_noise_still_segments_and_scores() {
         .analyze(&jump.video, &scene.camera, jump.poses.poses()[0])
         .unwrap();
     // Degraded but functional: tracks most frames, scores plausibly.
-    let carried = report.tracking.iter().filter(|t| t.carried_over).count();
+    let carried = report
+        .tracking
+        .iter()
+        .filter(|t| t.recovery == RecoveryAction::CarriedOver)
+        .count();
     assert!(
         carried <= 4,
         "{carried} frames untrackable under heavy noise"
@@ -151,7 +156,11 @@ fn robust_pipeline_handles_paper_background_mode() {
     let report = JumpAnalyzer::new(config)
         .analyze(&jump.video, &scene.camera, jump.poses.poses()[0])
         .unwrap();
-    let tracked = report.tracking.iter().filter(|t| !t.carried_over).count();
+    let tracked = report
+        .tracking
+        .iter()
+        .filter(|t| t.recovery != RecoveryAction::CarriedOver)
+        .count();
     assert!(tracked >= 16, "only {tracked}/20 frames tracked");
     assert!(report.score.score() >= 4, "{}", report.score);
 }
